@@ -26,8 +26,10 @@ import (
 //     slack (gateRatioSlack): cached ops cost single-digit microseconds, so
 //     the ratio sits near 0.001–0.01 and sub-microsecond timer wobble would
 //     otherwise trip a purely relative bound. The slack is far below any
-//     real regression — reintroducing per-read locking, string keys or
-//     allocation moves the ratio by an order of magnitude. Cells are
+//     real regression — string keys, allocation or an exclusive lock on
+//     the cached path move the ratio by an order of magnitude. It does not
+//     catch the selcache's uncontended shared read lock, which costs tens
+//     of nanoseconds per lookup and stays inside the bound. Cells are
 //     matched by (n, model, mode); fresh cells with no artifact counterpart
 //     (e.g. a CI run over a size subset) are skipped, not failed.
 //

@@ -148,8 +148,11 @@ func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
 // results — NaN or out-of-range selectivities, e.g. under an armed
 // NaNSelectivity fault — are never published: the cross-query cache is
 // shared state, and one poisoned entry would outlive the failure that
-// produced it. (This is the cold path: it runs at most once per computed
-// subset, so its allocations don't matter.)
+// produced it. It runs once per computed subset, which on a stream of
+// distinct queries is about 200 times per request, so its cost is not
+// negligible there: it allocates the entry's Preds and Factors (the cache
+// retains them), while the selcache Put behind it updates its shard in
+// place and allocates nothing once the shard is full.
 func (r *Run) cachePut(set engine.PredSet, res *Result) {
 	if r.Est.Cache == nil || set.Empty() || invalidResult(res) != "" {
 		return

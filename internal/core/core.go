@@ -39,7 +39,7 @@ const (
 // An Estimator is safe for concurrent use once configured: NewRun may be
 // called from many goroutines, and the shared state reachable from a Run —
 // the catalog, the pool (atomic match counter), the oracle evaluator
-// (mutex-guarded memo) and the optional cache (lock-free sharded reads) —
+// (mutex-guarded memo) and the optional cache (sharded, read-locked) —
 // is itself concurrency-safe. Mutating the configuration fields concurrently
 // with estimation is not supported. A Run is single-goroutine state.
 type Estimator struct {

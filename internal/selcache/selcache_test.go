@@ -77,6 +77,40 @@ func TestBoundedUnderChurn(t *testing.T) {
 	}
 }
 
+// TestCapacityExact: the shards' capacities sum to exactly the requested
+// capacity, and a cache churned far past it holds exactly that many entries.
+func TestCapacityExact(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ capacity, shards int }{
+		{1, 1},
+		{100, 16},
+		{1000, 16},
+		{4096, 64},
+		{5000, 79},
+		{1 << 14, 256},
+	} {
+		c := New[uint64, uint64](tc.capacity, HashUint64)
+		st := c.Stats()
+		if st.Capacity != tc.capacity || st.Shards != tc.shards {
+			t.Fatalf("New(%d): capacity %d over %d shards, want %d over %d",
+				tc.capacity, st.Capacity, st.Shards, tc.capacity, tc.shards)
+		}
+		lo, hi := c.shards[0].cap, c.shards[0].cap
+		for i := range c.shards {
+			lo, hi = min(lo, c.shards[i].cap), max(hi, c.shards[i].cap)
+		}
+		if hi-lo > 1 {
+			t.Fatalf("New(%d): shard capacities range %d..%d, want an even split", tc.capacity, lo, hi)
+		}
+		for k := uint64(0); k < uint64(4*tc.capacity); k++ {
+			c.Put(k, k)
+		}
+		if n := c.Len(); n != tc.capacity {
+			t.Fatalf("New(%d): %d entries after churn, want exactly %d", tc.capacity, n, tc.capacity)
+		}
+	}
+}
+
 func TestTinyCapacityRoundsUp(t *testing.T) {
 	t.Parallel()
 	c := New[string, string](1, HashString)
@@ -199,6 +233,112 @@ func TestEvictIfConcurrent(t *testing.T) {
 	}
 }
 
+// TestEvictIfKeepsRecency: compacting a shard moves survivors to new slots
+// but keeps their recency, so the next eviction still takes the least
+// recently used survivor rather than whichever slot moved.
+func TestEvictIfKeepsRecency(t *testing.T) {
+	t.Parallel()
+	c := NewSharded[string, int](4, 1, HashString)
+	for i, k := range []string{"a", "b", "c", "d"} {
+		c.Put(k, i)
+	}
+	c.Get("a")
+	c.Get("c") // recency, oldest first: b, d, a, c
+	if n := c.EvictIf(func(k string) bool { return k == "b" }); n != 1 {
+		t.Fatalf("EvictIf dropped %d entries, want 1", n)
+	}
+	c.Put("e", 4) // fills the freed slot, no eviction
+	c.Put("f", 5) // evicts d, the least recently used survivor
+	if _, ok := c.Get("d"); ok {
+		t.Fatalf("d, the least recently used survivor, was not evicted")
+	}
+	for _, k := range []string{"a", "c", "e", "f"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s was evicted ahead of the least recently used survivor", k)
+		}
+	}
+	if ev := c.Stats().Evictions; ev != 2 {
+		t.Fatalf("evictions = %d, want 2", ev)
+	}
+}
+
+// TestSlotsGrowLazily: a shard's slot array starts empty and doubles, from
+// minSlots, up to exactly the shard's capacity — a large cache that is never
+// filled does not reserve its full capacity.
+func TestSlotsGrowLazily(t *testing.T) {
+	t.Parallel()
+	c := NewSharded[uint64, uint64](100, 1, HashUint64)
+	s := &c.shards[0]
+	if cap(s.slots) != 0 {
+		t.Fatalf("new shard reserved %d slots, want 0", cap(s.slots))
+	}
+	var caps []int
+	for k := uint64(0); k < 200; k++ {
+		c.Put(k, k)
+		if n := cap(s.slots); len(caps) == 0 || caps[len(caps)-1] != n {
+			caps = append(caps, n)
+		}
+	}
+	if got, want := fmt.Sprint(caps), "[8 16 32 64 100]"; got != want {
+		t.Fatalf("slot array capacities %s, want %s", got, want)
+	}
+}
+
+// TestPutFullShardZeroAllocs: once a shard is full, a Put that evicts
+// reuses the victim's slot in place and allocates nothing.
+func TestPutFullShardZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	const capacity = 64
+	c := NewSharded[uint64, float64](capacity, 1, HashUint64)
+	k := uint64(0)
+	for ; k < capacity; k++ {
+		c.Put(k, float64(k))
+	}
+	allocs := testing.AllocsPerRun(10_000, func() {
+		c.Put(k, float64(k))
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("evicting Put allocated %.1f objects/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.Entries != capacity || st.Evictions == 0 {
+		t.Fatalf("stats after churn: %+v", st)
+	}
+}
+
+// BenchmarkGet measures a hit on a warm cache whose hot set fits every
+// shard, so no key has been evicted.
+func BenchmarkGet(b *testing.B) {
+	const hot = 2048
+	c := New[uint64, float64](2*hot, HashUint64)
+	for k := uint64(0); k < hot; k++ {
+		c.Put(k, float64(k))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(uint64(i) % hot); !ok {
+			b.Fatal("miss on a warm key")
+		}
+	}
+}
+
+// BenchmarkPutEvict measures a Put into a full cache, each one evicting.
+func BenchmarkPutEvict(b *testing.B) {
+	const capacity = 4096
+	c := New[uint64, float64](capacity, HashUint64)
+	for k := uint64(0); k < capacity; k++ {
+		c.Put(k, float64(k))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(capacity+uint64(i), float64(i))
+	}
+}
+
 // genKey is a generation-stamped structural key, mirroring how core.CacheKey
 // carries the pool generation as an integer field.
 type genKey struct {
@@ -210,15 +350,15 @@ func genKeyHash(k genKey) uint64 {
 	return HashUint64(k.gen*0x9e3779b97f4a7c15 + uint64(k.k))
 }
 
-// TestCOWGenerationStress interleaves 16 lock-free readers with lifecycle-
+// TestGenerationRetirementStress interleaves 16 readers with lifecycle-
 // style generation bumps: a writer advances the current generation and
 // EvictIf-retires all older ones, while readers Get/Put entries of whatever
 // generation is current. Values encode their key's generation, so any
 // cross-generation aliasing — a stale-generation value served for a newer
 // key — is detected immediately; and after the final retirement sweep no
 // dead-generation entry may remain resident. Run under -race this is also
-// the proof that the copy-on-write read path is data-race-free.
-func TestCOWGenerationStress(t *testing.T) {
+// the proof that in-place compaction never races a read.
+func TestGenerationRetirementStress(t *testing.T) {
 	t.Parallel()
 	c := New[genKey, uint64](1<<10, genKeyHash)
 	value := func(k genKey) uint64 { return k.gen*1_000_000 + uint64(k.k) }
