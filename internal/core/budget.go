@@ -9,6 +9,7 @@ import (
 	"condsel/internal/engine"
 	"condsel/internal/faults"
 	"condsel/internal/histogram"
+	"condsel/internal/sit"
 )
 
 // This file is the fault-tolerance surface of the DP: execution budgets
@@ -151,13 +152,14 @@ func (r *Run) SelectivityGuarded(set engine.PredSet) (res *Result, fallbackReaso
 // same factor space the DP searches.
 func (r *Run) GreedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
 	sel = 1
+	var scratch [2]*sit.SIT // a singleton factor uses at most two SITs
 	for !set.Empty() {
 		r.budget.node() // each peeled predicate is one chain node
 		bestErr, bestSel := math.Inf(1), 1.0
 		var bestP engine.PredSet
 		for s := uint64(set); s != 0; s &= s - 1 {
 			pp := engine.PredSet(1) << uint(bits.TrailingZeros64(s))
-			selF, errF, _ := r.ApproxFactor(pp, set.Minus(pp))
+			selF, errF, _ := r.approxFactor(pp, set.Minus(pp), scratch[:0])
 			if errF < bestErr {
 				bestErr, bestSel, bestP = errF, selF, pp
 			}

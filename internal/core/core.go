@@ -488,23 +488,7 @@ func (r *Run) compute(set engine.PredSet) *Result {
 	r.ensureChainKeys()
 	comps := r.components(set)
 	if len(comps) > 1 {
-		// Lines 4-7: separable — solve the standard decomposition's
-		// components independently and merge. Component keys are sorted so
-		// the merged key is canonical regardless of the components' predicate
-		// positions (they feed tie-breaks higher up the DP).
-		res := &Result{Sel: 1, Err: 0}
-		subKeys := make([]string, 0, len(comps))
-		for _, comp := range comps {
-			sub := r.GetSelectivity(comp)
-			res.Sel *= sub.Sel
-			res.Err += sub.Err
-			res.Factors = append(res.Factors, sub.Factors...)
-			//lint:ignore hotalloc cold path: component keys are built once per computed subset, never on a cached read
-			subKeys = append(subKeys, "["+sub.key+"]")
-		}
-		sort.Strings(subKeys)
-		res.key = strings.Join(subKeys, "")
-		return res
+		return r.mergeSeparable(comps)
 	}
 
 	// Lines 9-17: non-separable — try atomic decompositions
@@ -515,37 +499,104 @@ func (r *Run) compute(set engine.PredSet) *Result {
 	// in both search modes and for either positional layout of the same
 	// structural predicate set (which is what lets results be shared
 	// across queries through the selectivity cache).
-	// Candidate chain keys are compared lazily — head and remainder held as
-	// two segments, concatenated only for the final winner — because ties
-	// are rare relative to the number of candidates tried, and key
-	// construction used to dominate the loop's allocations.
-	best := &Result{Err: math.Inf(1)}
-	var bestHead, bestRest string
+	// Candidates are scored without allocating: the running best and the
+	// candidate under test are frame-local (their SITs in two stack buffers
+	// that swap with them, their chain keys held as head and remainder
+	// segments compared lazily), and only the winner's Result, factor slice,
+	// SIT slice and key are allocated after the loop.
+	var bufA, bufB [8]*sit.SIT
+	best := candidate{err: math.Inf(1), sits: bufA[:0]}
+	cur := candidate{sits: bufB[:0]}
 	try := func(pp engine.PredSet) {
-		qq := set.Minus(pp)
-		resQ := r.GetSelectivity(qq)
-		selF, errF, sits := r.ApproxFactor(pp, qq)
-		cand := errF + resQ.Err
-		tol := 1e-9 * (1 + math.Abs(best.Err))
-		if math.IsInf(best.Err, 1) || cand < best.Err-tol ||
-			(cand <= best.Err+tol && concatLess(r.chainHead(pp), resQ.key, bestHead, bestRest)) {
-			factors := make([]Factor, 0, 1+len(resQ.Factors))
-			factors = append(factors, Factor{P: pp, Q: qq, Sel: selF, Err: errF, SITs: sits})
-			factors = append(factors, resQ.Factors...)
-			best = &Result{Sel: selF * resQ.Sel, Err: cand, Factors: factors}
-			bestHead, bestRest = r.chainHead(pp), resQ.key
+		cur.pp, cur.qq = pp, set.Minus(pp)
+		cur.rest = r.GetSelectivity(cur.qq)
+		cur.selF, cur.errF, cur.sits = r.approxFactor(pp, cur.qq, cur.sits[:0])
+		cur.err = cur.errF + cur.rest.Err
+		tol := 1e-9 * (1 + math.Abs(best.err))
+		if math.IsInf(best.err, 1) || cur.err < best.err-tol ||
+			(cur.err <= best.err+tol && concatLess(r.chainHead(pp), cur.rest.key, best.head, best.rest.key)) {
+			cur.head = r.chainHead(pp)
+			best, cur = cur, best
 		}
 	}
 	if r.Est.Exhaustive {
-		set.Subsets(try)
+		for pp := set; pp != 0; pp = (pp - 1) & set { // engine.PredSet.Subsets order
+			try(pp)
+		}
 	} else {
 		for s := uint64(set); s != 0; s &= s - 1 {
 			try(engine.PredSet(1) << uint(bits.TrailingZeros64(s)))
 		}
 	}
+	return buildWinner(&best)
+}
+
+// candidate is one atomic decomposition Sel(pp|qq)·Sel(qq) scored by
+// compute's loop. sits points into a caller-owned stack buffer (a factor
+// needing more SITs than the buffer holds spills to the heap).
+type candidate struct {
+	pp, qq     engine.PredSet
+	rest       *Result // memoized result for qq
+	selF, errF float64
+	err        float64 // errF + rest.Err
+	sits       []*sit.SIT
+	head       string // chain-key head, set once the candidate leads
+}
+
+// buildWinner allocates the winning candidate's Result: its factor slice
+// (head factor, then the remainder's factors), an exact-size copy of its
+// SITs and its chain key.
+func buildWinner(c *candidate) *Result {
+	sits := make([]*sit.SIT, len(c.sits))
+	copy(sits, c.sits)
+	factors := make([]Factor, 0, 1+len(c.rest.Factors))
+	factors = append(factors, Factor{P: c.pp, Q: c.qq, Sel: c.selF, Err: c.errF, SITs: sits})
+	factors = append(factors, c.rest.Factors...)
 	//lint:ignore hotalloc cold path: the winner's chain key is materialized once per computed subset
-	best.key = bestHead + bestRest
-	return best
+	key := c.head + c.rest.key
+	return &Result{Sel: c.selF * c.rest.Sel, Err: c.err, Factors: factors, key: key}
+}
+
+// mergeSeparable implements lines 4-7 of Figure 3: a separable set's
+// components are solved independently and merged. The merged key
+// concatenates the bracketed component keys in sorted order, so it is
+// canonical regardless of the components' predicate positions (it feeds
+// tie-breaks higher up the DP). Sorting on concatLess(a.key, "]", b.key,
+// "]") orders components exactly as sorting the bracketed strings would,
+// since every one of them starts with the same "[".
+func (r *Run) mergeSeparable(comps []engine.PredSet) *Result {
+	var stack [8]*Result
+	subs := stack[:0]
+	res := &Result{Sel: 1, Err: 0}
+	nf, nk := 0, 0
+	for _, comp := range comps {
+		sub := r.GetSelectivity(comp)
+		res.Sel *= sub.Sel
+		res.Err += sub.Err
+		nf += len(sub.Factors)
+		nk += len(sub.key) + 2
+		subs = append(subs, sub)
+	}
+	if nf > 0 {
+		res.Factors = make([]Factor, 0, nf)
+		for _, sub := range subs {
+			res.Factors = append(res.Factors, sub.Factors...)
+		}
+	}
+	for i := 1; i < len(subs); i++ {
+		for j := i; j > 0 && concatLess(subs[j].key, "]", subs[j-1].key, "]"); j-- {
+			subs[j], subs[j-1] = subs[j-1], subs[j]
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(nk)
+	for _, sub := range subs {
+		sb.WriteByte('[')
+		sb.WriteString(sub.key)
+		sb.WriteByte(']')
+	}
+	res.key = sb.String()
+	return res
 }
 
 // ensureChainKeys builds the run's interned chain-key tables on the first

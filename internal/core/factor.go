@@ -44,6 +44,15 @@ type joinApprox struct {
 // already processed. Errors accumulate additively, generalizing nInd's
 // |P_i|·|Q_i−Q'_i| (see DESIGN.md).
 func (r *Run) ApproxFactor(pp, qq engine.PredSet) (selF, errF float64, sits []*sit.SIT) {
+	return r.approxFactor(pp, qq, nil)
+}
+
+// approxFactor is ApproxFactor appending the SITs used to dst, so the DP can
+// score candidates into a frame-local buffer and allocate only the winner's
+// slice. Each call is one factor approximation for the budget poll and the
+// fault harness, whose rules fire by call count.
+func (r *Run) approxFactor(pp, qq engine.PredSet, dst []*sit.SIT) (selF, errF float64, sits []*sit.SIT) {
+	sits = dst
 	r.budget.poll()
 	fs := faults.Active() // nil when the harness is off; Fire is nil-safe
 	if fs.Fire(faults.SlowFactor) {

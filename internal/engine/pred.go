@@ -90,18 +90,19 @@ func (p Pred) SelfJoin(c *Catalog) bool {
 }
 
 // Key returns a canonical, comparable identity for the predicate. Two
-// predicates with equal keys are structurally identical. Keys are used for
-// SIT expression matching and evaluator memoization.
-// The estimation hot path never calls Key: runs pre-canonicalize predicates
-// at NewRun and compare/hash them as values (Canon, SigHash); Key survives
-// for SIT expression containment, diagnostics and the chain-key tie-breaks,
-// all of which run off the cached path.
+// predicates with equal keys are structurally identical, exactly when their
+// Canon forms are equal.
+// No estimation path calls Key: runs pre-canonicalize predicates at NewRun
+// and compare/hash them as values (Canon, SigHash), and SIT matching tests
+// expression membership by canonical value. Key's callers are SIT.ID at
+// construction, the DP's chain keys (built once per computing run), the
+// evaluator memo, the join-synopsis edge index and diagnostics.
 func (p Pred) Key() string {
 	if p.Kind == JoinPred {
-		//lint:ignore hotalloc cold path: SIT matching and chain keys only; cached reads use Canon/SigHash values
+		//lint:ignore hotalloc cold path: SIT IDs at construction, chain keys once per run, evaluator memo, diagnostics
 		return fmt.Sprintf("J%d=%d", p.Left, p.Right)
 	}
-	//lint:ignore hotalloc cold path: SIT matching and chain keys only; cached reads use Canon/SigHash values
+	//lint:ignore hotalloc cold path: SIT IDs at construction, chain keys once per run, evaluator memo, diagnostics
 	return fmt.Sprintf("F%d[%d,%d]", p.Attr, p.Lo, p.Hi)
 }
 

@@ -40,9 +40,9 @@ type matchKey struct {
 type attrMatcher struct {
 	idx *attrIndex
 
-	// keyed[k]: positions of the query's predicates whose canonical key
+	// keyed[k]: positions of the query's predicates whose canonical value
 	// belongs to sits[k]'s expression. sizes[k] is the expression's distinct
-	// key count, so sits[k] matches a conditioning set q exactly when
+	// predicate count, so sits[k] matches a conditioning set q exactly when
 	// |q ∩ keyed[k]| == sizes[k] — the same count MatchesSubset performs.
 	keyed   []engine.PredSet
 	sizes   []int
@@ -76,13 +76,7 @@ func (m *Matcher) forAttr(attr engine.AttrID) *attrMatcher {
 		}
 		for k, s := range idx.sits {
 			am.sizes[k] = len(s.exprSet)
-			for i, p := range m.preds {
-				// Canonical-value membership: equivalent to the string-keyed
-				// s.exprKeys[p.Key()] test without formatting a key.
-				if s.exprSet[p.Canon()] {
-					am.keyed[k] = am.keyed[k].Add(i)
-				}
-			}
+			am.keyed[k] = s.MatchedSet(m.preds, engine.FullPredSet(len(m.preds)))
 		}
 	}
 	m.attrs[attr] = am

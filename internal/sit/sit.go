@@ -9,6 +9,7 @@ package sit
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -28,32 +29,79 @@ type SIT struct {
 	Hist   *histogram.Histogram
 	Diff   float64
 
-	exprKeys map[string]bool      // canonical predicate keys of Expr
-	exprSet  map[engine.Pred]bool // canonical predicate values of Expr
-	id       string               // canonical identity, precomputed (ID is hot)
+	exprSet exprSet // canonical predicate values of Expr
+	id      string  // canonical identity, precomputed (ID is hot)
 }
 
-// NewSIT assembles a SIT from its parts, deriving the table set and
-// canonical expression keys. Expression membership is indexed twice: by
-// Pred.Key() string for the legacy containment tests, and by canonical
-// predicate value (Pred.Canon) so the matcher's per-query indexing never
-// formats a key string — the two are equivalent, as equal keys and equal
-// canonical forms coincide.
+// exprSet indexes an expression's distinct predicates by canonical value
+// (Pred.Canon). Equal Key() strings and equal canonical forms coincide, so
+// membership by value answers exactly what a Key()-keyed set would, without
+// formatting a string per test.
+type exprSet map[engine.Pred]bool
+
+// newExprSet indexes expr and returns the set with its sorted distinct
+// Key() strings — the material of a statistic's canonical ID, formatted
+// once at construction.
+func newExprSet(expr []engine.Pred) (exprSet, []string) {
+	set := make(exprSet, len(expr))
+	keys := make([]string, 0, len(expr))
+	for _, p := range expr {
+		if c := p.Canon(); !set[c] {
+			set[c] = true
+			keys = append(keys, p.Key())
+		}
+	}
+	sort.Strings(keys)
+	return set, keys
+}
+
+// matched returns the positions within q whose predicates belong to the
+// set. It walks q's bits directly and allocates nothing.
+func (e exprSet) matched(preds []engine.Pred, q engine.PredSet) engine.PredSet {
+	var m engine.PredSet
+	for b := uint64(q); b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(b)
+		if e[preds[i].Canon()] {
+			m = m.Add(i)
+		}
+	}
+	return m
+}
+
+// coveredBy reports whether every member of the set appears among q's
+// predicates. It counts matching positions, so two positions holding the
+// same predicate count twice: the Matcher's popcount test is the same
+// count, and the two must agree.
+func (e exprSet) coveredBy(preds []engine.Pred, q engine.PredSet) bool {
+	if len(e) > q.Len() {
+		return false
+	}
+	return e.matched(preds, q).Len() == len(e)
+}
+
+// subsetOf reports whether every member of e is a member of f.
+func (e exprSet) subsetOf(f exprSet) bool {
+	if len(e) > len(f) {
+		return false
+	}
+	for p := range e {
+		if !f[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// NewSIT assembles a SIT from its parts, deriving the table set, the
+// canonical-value expression index and the canonical ID.
 func NewSIT(c *engine.Catalog, attr engine.AttrID, expr []engine.Pred, h *histogram.Histogram, diff float64) *SIT {
-	s := &SIT{Attr: attr, Expr: expr, Hist: h, Diff: diff,
-		exprKeys: make(map[string]bool, len(expr)),
-		exprSet:  make(map[engine.Pred]bool, len(expr))}
+	s := &SIT{Attr: attr, Expr: expr, Hist: h, Diff: diff}
 	s.Tables = engine.NewTableSet(c.AttrTable(attr))
 	for _, p := range expr {
 		s.Tables = s.Tables.Union(p.Tables(c))
-		s.exprKeys[p.Key()] = true
-		s.exprSet[p.Canon()] = true
 	}
-	keys := make([]string, 0, len(s.exprKeys))
-	for k := range s.exprKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	var keys []string
+	s.exprSet, keys = newExprSet(expr)
 	s.id = fmt.Sprintf("%d|%s", s.Attr, strings.Join(keys, "&"))
 	return s
 }
@@ -87,40 +135,16 @@ func (s *SIT) Name(c *engine.Catalog) string {
 // appears (structurally) within the predicate subset q of preds. This is
 // the `Q' ⊆ Q` containment test of §3.3.
 func (s *SIT) MatchesSubset(preds []engine.Pred, q engine.PredSet) bool {
-	if len(s.exprKeys) > q.Len() {
-		return false
-	}
-	found := 0
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			found++
-		}
-	}
-	return found == len(s.exprKeys)
+	return s.exprSet.coveredBy(preds, q)
 }
 
 // ExprSubsetOf reports whether s's expression is a (possibly equal) subset
 // of t's expression.
-func (s *SIT) ExprSubsetOf(t *SIT) bool {
-	if len(s.exprKeys) > len(t.exprKeys) {
-		return false
-	}
-	for k := range s.exprKeys {
-		if !t.exprKeys[k] {
-			return false
-		}
-	}
-	return true
-}
+func (s *SIT) ExprSubsetOf(t *SIT) bool { return s.exprSet.subsetOf(t.exprSet) }
 
 // MatchedSet returns the positions within q whose predicates belong to the
-// SIT's expression — the Q' actually covered by the SIT.
+// SIT's expression — the Q' actually covered by the SIT. The error models
+// call it for every candidate they score, so it allocates nothing.
 func (s *SIT) MatchedSet(preds []engine.Pred, q engine.PredSet) engine.PredSet {
-	var m engine.PredSet
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			m = m.Add(i)
-		}
-	}
-	return m
+	return s.exprSet.matched(preds, q)
 }

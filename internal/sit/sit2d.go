@@ -21,18 +21,21 @@ type SIT2D struct {
 	Tables engine.TableSet
 	Hist   *histogram.Hist2D
 
-	exprKeys map[string]bool
+	exprSet exprSet // canonical predicate values of Expr
+	id      string  // canonical identity, precomputed
 }
 
-// NewSIT2D assembles a 2-D SIT, deriving table set and expression keys.
+// NewSIT2D assembles a 2-D SIT, deriving the table set, the canonical-value
+// expression index and the canonical ID.
 func NewSIT2D(c *engine.Catalog, x, y engine.AttrID, expr []engine.Pred, h *histogram.Hist2D) *SIT2D {
-	s := &SIT2D{X: x, Y: y, Expr: expr, Hist: h,
-		exprKeys: make(map[string]bool, len(expr))}
+	s := &SIT2D{X: x, Y: y, Expr: expr, Hist: h}
 	s.Tables = engine.NewTableSet(c.AttrTable(x), c.AttrTable(y))
 	for _, p := range expr {
 		s.Tables = s.Tables.Union(p.Tables(c))
-		s.exprKeys[p.Key()] = true
 	}
+	var keys []string
+	s.exprSet, keys = newExprSet(expr)
+	s.id = fmt.Sprintf("2d:%d,%d|%s", s.X, s.Y, strings.Join(keys, "&"))
 	return s
 }
 
@@ -40,14 +43,7 @@ func NewSIT2D(c *engine.Catalog, x, y engine.AttrID, expr []engine.Pred, h *hist
 func (s *SIT2D) ExprSize() int { return len(s.Expr) }
 
 // ID returns a canonical identity for deduplication.
-func (s *SIT2D) ID() string {
-	keys := make([]string, 0, len(s.exprKeys))
-	for k := range s.exprKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("2d:%d,%d|%s", s.X, s.Y, strings.Join(keys, "&"))
-}
+func (s *SIT2D) ID() string { return s.id }
 
 // Name renders the SIT in the paper's notation, e.g. "SIT(R.x, R.a | …)".
 func (s *SIT2D) Name(c *engine.Catalog) string {
@@ -65,27 +61,16 @@ func (s *SIT2D) Name(c *engine.Catalog) string {
 // MatchesSubset reports whether the SIT's expression is contained in the
 // predicate subset q (structural identity).
 func (s *SIT2D) MatchesSubset(preds []engine.Pred, q engine.PredSet) bool {
-	if len(s.exprKeys) > q.Len() {
-		return false
-	}
-	found := 0
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			found++
-		}
-	}
-	return found == len(s.exprKeys)
+	return s.exprSet.coveredBy(preds, q)
 }
+
+// ExprSubsetOf reports whether s's expression is a (possibly equal) subset
+// of t's expression.
+func (s *SIT2D) ExprSubsetOf(t *SIT2D) bool { return s.exprSet.subsetOf(t.exprSet) }
 
 // MatchedSet returns the positions within q covered by the expression.
 func (s *SIT2D) MatchedSet(preds []engine.Pred, q engine.PredSet) engine.PredSet {
-	var m engine.PredSet
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			m = m.Add(i)
-		}
-	}
-	return m
+	return s.exprSet.matched(preds, q)
 }
 
 // Build2D constructs SIT2D(x, y | expr). Both attributes must be on the
@@ -178,7 +163,7 @@ func (p *Pool) Candidates2D(preds []engine.Pred, x, y engine.AttrID, q engine.Pr
 	for _, s := range matching {
 		maximal := true
 		for _, t := range matching {
-			if t != s && t.ExprSize() > s.ExprSize() && exprSubset(s, t) {
+			if t != s && t.ExprSize() > s.ExprSize() && s.ExprSubsetOf(t) {
 				maximal = false
 				break
 			}
@@ -189,15 +174,6 @@ func (p *Pool) Candidates2D(preds []engine.Pred, x, y engine.AttrID, q engine.Pr
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
-}
-
-func exprSubset(a, b *SIT2D) bool {
-	for k := range a.exprKeys {
-		if !b.exprKeys[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Build2DBaseSITs adds, for every workload query, the base 2-D histograms
