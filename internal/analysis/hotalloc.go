@@ -38,15 +38,21 @@ func NewHotAlloc() *HotAlloc {
 			"condsel/internal/core",
 			"condsel/internal/selcache",
 			"condsel/internal/engine",
+			"condsel/internal/sit",
 			"testdata/src/hotalloc",
 		},
 		Files: map[string][]string{
 			// The DP core's hot files. Explain/bench/budget/robust helpers
 			// in the same package render for humans and are off-path.
 			"condsel/internal/core": {"core.go", "cache.go", "factor.go", "joincache.go"},
-			// The predicate-key primitives; eval/catalog/query code formats
-			// errors and names, which never runs per cached estimate.
-			"condsel/internal/engine": {"pred.go", "sig.go", "sets.go"},
+			// The predicate-key primitives and the DP's per-run lookup
+			// state; eval/catalog/query code formats errors and names,
+			// which never runs per cached estimate.
+			"condsel/internal/engine": {"pred.go", "sig.go", "sets.go", "compindex.go", "flattable.go"},
+			// SIT matching: the candidate matcher and the expression
+			// membership tests the error models call per scored SIT.
+			// Builders, pools and serialization run at construction.
+			"condsel/internal/sit": {"matcher.go", "sit.go"},
 		},
 	}
 }

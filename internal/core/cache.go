@@ -5,7 +5,6 @@ import (
 
 	"condsel/internal/engine"
 	"condsel/internal/selcache"
-	"condsel/internal/sit"
 )
 
 // CacheKey is the canonical cross-query cache key: error-model name, pool
@@ -40,30 +39,39 @@ func NewSelCache(capacity int) *SelCacheStore {
 	return selcache.New[CacheKey, CacheEntry](capacity, CacheKeyHash)
 }
 
-// CacheEntry is the position-independent form of a Result, suitable for
-// sharing across queries through Estimator.Cache. Preds is the entry's
-// predicate multiset in canonical PredLess order: it is the witness the
-// packed 128-bit key signature is verified against on every hit, so a hash
-// collision degrades to a cache miss (and a recomputation), never a wrong
-// answer. Factor predicate sets are bitmasks over that canonical sequence
-// rather than positional bitsets, because the same structural predicate set
-// can sit at different positions in different queries. Sel, Err and the
-// canonical chain key are position-independent by construction (see
-// chainHead), so a decoded entry is bit-identical to what the run would
-// have computed itself.
+// CacheEntry is a published Result, shared across queries through
+// Estimator.Cache without copying it. Sel, Err and the canonical chain key
+// are position-independent by construction (see chainHead). Set and the
+// factors' P/Q masks are predicate positions of the publishing run's query,
+// which Frame records: its canonical predicates, and the order that sorts
+// them. Factors is the computed Result's own factor slice (see Result for
+// the invariant that makes sharing it safe).
+//
+// A hit decodes positions through canonical order: the publishing run's
+// members of Set and the reading run's members of its own set, each walked
+// in canonical PredLess order (ties in ascending position), pair up rank by
+// rank. Walking them also compares the canonical predicates pairwise — the
+// witness the packed 128-bit key signature is verified against on every
+// hit, so a hash collision degrades to a cache miss (and a recomputation),
+// never a wrong answer. A decoded entry is therefore bit-identical to what
+// the reading run would have computed itself, even when the same
+// structural predicate set sits at different positions in the two queries.
 type CacheEntry struct {
 	Sel, Err float64
 	Key      string
-	Preds    []engine.Pred // canonical (PredLess-sorted) predicates
-	Factors  []CacheFactor
+	Set      engine.PredSet // the entry's predicates, as positions in Frame
+	Factors  []Factor       // shared with the published Result; never mutated
+	Frame    *CacheFrame
 }
 
-// CacheFactor mirrors Factor with P/Q as bitmasks over CacheEntry.Preds
-// (canonical indices, not query positions).
-type CacheFactor struct {
-	P, Q     engine.PredSet
-	Sel, Err float64
-	SITs     []*sit.SIT
+// CacheFrame is the positional frame of one publishing run's entries: its
+// query's canonical predicates by position, and those positions in
+// canonical PredLess order (ties in ascending position). A run allocates
+// its frame at its first publish and never mutates it afterwards; every
+// entry the run publishes shares it.
+type CacheFrame struct {
+	Preds []engine.Pred
+	Order []uint8
 }
 
 // cacheKey builds the packed canonical cache key for the predicate set from
@@ -79,8 +87,8 @@ func (r *Run) cacheKey(set engine.PredSet) CacheKey {
 }
 
 // canonPositions writes set's member positions into pos in canonical
-// PredLess order (ties in ascending position order, mirroring cachePut's
-// encoding) and returns how many it wrote.
+// PredLess order (ties in ascending position order) and returns how many
+// it wrote.
 func (r *Run) canonPositions(set engine.PredSet, pos *[64]uint8) int {
 	k := 0
 	for _, p := range r.canonOrder {
@@ -104,23 +112,38 @@ func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var pos [64]uint8
-	k := r.canonPositions(set, &pos)
-	if len(e.Preds) != k {
+	f := e.Frame
+	if f == nil || uint64(e.Set)>>uint(len(f.Preds)) != 0 {
 		return nil, false
 	}
-	for ci := 0; ci < k; ci++ {
-		// The packed key's 64-bit hash half leaves a ~2^-64 collision
-		// residue; comparing the canonical predicates closes it. A
-		// mismatch is treated as a miss and recomputed.
-		if e.Preds[ci] != r.canonPreds[pos[ci]] {
+	var pos [64]uint8
+	k := r.canonPositions(set, &pos)
+	// Walk the frame's members of e.Set in canonical order against the
+	// run's members of set in canonical order. The packed key's 64-bit hash
+	// half leaves a ~2^-64 collision residue; comparing the canonical
+	// predicates rank by rank closes it. A mismatch, or sets of different
+	// sizes, is treated as a miss and recomputed. The walk also builds the
+	// position map the factors decode through: frame position -> run
+	// position.
+	var toRun [64]uint8
+	rank := 0
+	for _, fp := range f.Order {
+		if !e.Set.Has(int(fp)) {
+			continue
+		}
+		if rank == k || f.Preds[fp] != r.canonPreds[pos[rank]] {
 			return nil, false
 		}
+		toRun[fp] = pos[rank]
+		rank++
 	}
-	for _, f := range e.Factors {
-		// Defensive: a malformed entry (mask bits beyond the predicate
-		// count, impossible under the encoding) is a miss, never served.
-		if uint64(f.P)>>uint(k) != 0 || uint64(f.Q)>>uint(k) != 0 {
+	if rank != k {
+		return nil, false
+	}
+	for _, fac := range e.Factors {
+		// Defensive: a malformed entry (a factor mask outside the entry's
+		// set, impossible under the encoding) is a miss, never served.
+		if !fac.P.SubsetOf(e.Set) || !fac.Q.SubsetOf(e.Set) {
 			return nil, false
 		}
 	}
@@ -128,60 +151,44 @@ func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
 	res.Sel, res.Err, res.key = e.Sel, e.Err, e.Key
 	if len(e.Factors) > 0 {
 		factors := r.newFactors(len(e.Factors))
-		for fi, f := range e.Factors {
+		for fi, fac := range e.Factors {
 			var p, q engine.PredSet
-			for m := uint64(f.P); m != 0; m &= m - 1 {
-				p = p.Add(int(pos[bits.TrailingZeros64(m)]))
+			for m := uint64(fac.P); m != 0; m &= m - 1 {
+				p = p.Add(int(toRun[bits.TrailingZeros64(m)]))
 			}
-			for m := uint64(f.Q); m != 0; m &= m - 1 {
-				q = q.Add(int(pos[bits.TrailingZeros64(m)]))
+			for m := uint64(fac.Q); m != 0; m &= m - 1 {
+				q = q.Add(int(toRun[bits.TrailingZeros64(m)]))
 			}
-			factors[fi] = Factor{P: p, Q: q, Sel: f.Sel, Err: f.Err, SITs: f.SITs}
+			factors[fi] = Factor{P: p, Q: q, Sel: fac.Sel, Err: fac.Err, SITs: fac.SITs}
 		}
 		res.Factors = factors
 	}
 	return res, true
 }
 
-// cachePut publishes a freshly computed result under its canonical key,
-// re-encoding positional factor sets as canonical-index masks. Invalid
-// results — NaN or out-of-range selectivities, e.g. under an armed
+// cachePut publishes a freshly computed result under its canonical key.
+// Invalid results — NaN or out-of-range selectivities, e.g. under an armed
 // NaNSelectivity fault — are never published: the cross-query cache is
 // shared state, and one poisoned entry would outlive the failure that
 // produced it. It runs once per computed subset, which on a stream of
-// distinct queries is about 200 times per request, so its cost is not
-// negligible there: it allocates the entry's Preds and Factors (the cache
-// retains them), while the selcache Put behind it updates its shard in
-// place and allocates nothing once the shard is full.
+// distinct queries is about 200 times per request, so it copies nothing:
+// the entry shares the result's factor slice and names its predicates as
+// positions in the run's frame, which the run allocates once, at its first
+// publish. The selcache Put behind it updates its shard in place and
+// allocates nothing once the shard is full.
 func (r *Run) cachePut(set engine.PredSet, res *Result) {
 	if r.Est.Cache == nil || set.Empty() || invalidResult(res) != "" {
 		return
 	}
-	var pos [64]uint8
-	k := r.canonPositions(set, &pos)
-	// Inverse map: query position -> canonical index. Duplicate structural
-	// predicates map ascending positions to ascending indices (canonical
-	// order is position-stable), so decode's ascending assignment restores
-	// an equivalent positional set.
-	var inv [64]uint8
-	preds := make([]engine.Pred, k)
-	for ci := 0; ci < k; ci++ {
-		inv[pos[ci]] = uint8(ci)
-		preds[ci] = r.canonPreds[pos[ci]]
+	if r.frame == nil {
+		n := len(r.canonPreds)
+		f := &CacheFrame{Preds: make([]engine.Pred, n), Order: make([]uint8, n)}
+		copy(f.Preds, r.canonPreds)
+		copy(f.Order, r.canonOrder)
+		r.frame = f
 	}
-	e := CacheEntry{Sel: res.Sel, Err: res.Err, Key: res.key, Preds: preds}
-	if len(res.Factors) > 0 {
-		e.Factors = make([]CacheFactor, 0, len(res.Factors))
-		for _, f := range res.Factors {
-			var p, q engine.PredSet
-			for m := uint64(f.P); m != 0; m &= m - 1 {
-				p = p.Add(int(inv[bits.TrailingZeros64(m)]))
-			}
-			for m := uint64(f.Q); m != 0; m &= m - 1 {
-				q = q.Add(int(inv[bits.TrailingZeros64(m)]))
-			}
-			e.Factors = append(e.Factors, CacheFactor{P: p, Q: q, Sel: f.Sel, Err: f.Err, SITs: f.SITs})
-		}
-	}
-	r.Est.Cache.Put(r.cacheKey(set), e)
+	r.Est.Cache.Put(r.cacheKey(set), CacheEntry{
+		Sel: res.Sel, Err: res.Err, Key: res.key,
+		Set: set, Factors: res.Factors, Frame: r.frame,
+	})
 }

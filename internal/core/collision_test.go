@@ -6,8 +6,8 @@ import (
 	"condsel/internal/engine"
 )
 
-// TestCacheCollisionFallback forces the situation the stored-predicate check
-// exists for: a cache entry whose key matches (as if two predicate multisets
+// TestCacheCollisionFallback forces the situation the frame check exists
+// for: a cache entry whose key matches (as if two predicate multisets
 // collided in the 64-bit hash) but whose predicates differ from the run's.
 // The lookup must treat it as a miss, recompute the true value, and republish
 // the correct entry — never serve the impostor's selectivity.
@@ -21,34 +21,32 @@ func TestCacheCollisionFallback(t *testing.T) {
 	want := rr.GetSelectivity(full).Sel
 	rr.Release()
 
+	// frameOf copies the run's own frame: its canonical predicates and
+	// their canonical order, as cachePut publishes them.
+	frameOf := func(r *Run) *CacheFrame {
+		return &CacheFrame{
+			Preds: append([]engine.Pred(nil), r.canonPreds...),
+			Order: append([]uint8(nil), r.canonOrder...),
+		}
+	}
 	poisons := map[string]func(r *Run) CacheEntry{
 		"wrong-length": func(r *Run) CacheEntry {
-			return CacheEntry{Sel: 0.123, Key: "bogus", Preds: []engine.Pred{engine.Eq(0, 1)}}
+			// One predicate short of the looked-up set.
+			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full &^ 1, Frame: frameOf(r)}
 		},
 		"wrong-pred": func(r *Run) CacheEntry {
-			// Right cardinality, one predicate altered: the element-wise
+			// Right cardinality, one predicate altered: the rank-by-rank
 			// canonical comparison has to catch it.
-			var pos [64]uint8
-			k := r.canonPositions(full, &pos)
-			preds := make([]engine.Pred, k)
-			for ci := 0; ci < k; ci++ {
-				preds[ci] = r.canonPreds[pos[ci]]
-			}
-			preds[k-1].Lo++
-			return CacheEntry{Sel: 0.123, Key: "bogus", Preds: preds}
+			f := frameOf(r)
+			f.Preds[f.Order[len(f.Order)-1]].Lo++
+			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full, Frame: f}
 		},
 		"bad-factor-mask": func(r *Run) CacheEntry {
-			// Correct predicates but a factor mask referencing canonical
-			// indices beyond the entry: decode must bounds-check and miss
-			// rather than index past the position array.
-			var pos [64]uint8
-			k := r.canonPositions(full, &pos)
-			preds := make([]engine.Pred, k)
-			for ci := 0; ci < k; ci++ {
-				preds[ci] = r.canonPreds[pos[ci]]
-			}
-			return CacheEntry{Sel: 0.123, Key: "bogus", Preds: preds,
-				Factors: []CacheFactor{{P: engine.PredSet(1) << uint(k), Sel: 0.5}}}
+			// Correct predicates but a factor mask naming a position outside
+			// the entry's set: decode must check and miss rather than map a
+			// position it never paired.
+			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full, Frame: frameOf(r),
+				Factors: []Factor{{P: engine.PredSet(1) << uint(full.Len()), Sel: 0.5}}}
 		},
 	}
 

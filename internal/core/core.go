@@ -141,6 +141,14 @@ func (f Factor) Format(q *engine.Query) string {
 // Result is the outcome of getSelectivity for one predicate set: the
 // estimated selectivity, the aggregated error of the chosen decomposition,
 // and the decomposition's factors (most recently applied first).
+//
+// Factors is read-only, and the cross-query cache relies on it: a
+// published CacheEntry shares its Result's factor slice rather than copying
+// it. That is safe under one invariant, which this package holds to. Only
+// computed results are published, and those are heap-allocated winners
+// (buildWinner, mergeSeparable) that nothing mutates after they are built.
+// Results decoded from a cache hit live in the run's arenas and are never
+// published. No code outside this package reads Result.Factors.
 type Result struct {
 	Sel     float64
 	Err     float64
@@ -166,7 +174,10 @@ type Result struct {
 // and Release returns it. On the cached path — memo or cross-query cache
 // hit — a pooled run performs no allocation at all: cache keys are packed
 // integer signatures (engine.PredSig), hits are decoded into per-run arenas,
-// and all maps and tables are reused across queries.
+// and all tables are reused across queries. The uncached search reuses its
+// lookup state too: the memos are flat tables (engine.FlatTable), and the
+// component index and candidate matcher are values the run owns and
+// rebinds to each query, so a warm run allocates only its winners.
 type Run struct {
 	Est   *Estimator
 	Query *engine.Query
@@ -177,9 +188,9 @@ type Run struct {
 	// "decomposition analysis" remainder of the run time.
 	HistNanos int64
 
-	memo        map[engine.PredSet]*Result
-	truthMemo   map[truthKey]float64 // Opt ground truth, nil until used
-	derivedMemo map[string]*sit.SIT  // Example 3 derivations, nil until used
+	memo        engine.FlatTable[*Result] // keyed (0, set)
+	truthMemo   map[truthKey]float64      // Opt ground truth, nil until used
+	derivedMemo map[string]*sit.SIT       // Example 3 derivations, nil until used
 
 	// budget, when non-nil, bounds the run's execution (deadline + node
 	// cap); see NewBudgetedRun. Nil for plain runs — every check is then a
@@ -211,15 +222,24 @@ type Run struct {
 	facBuf []Factor
 
 	// fast mirrors !Estimator.NoFastPath: the run-level hot-path machinery
-	// below is live. (Pooled maps stay allocated either way; fast is the
-	// routing switch, not map nil-ness.)
-	fast       bool
-	comps      *engine.CompIndex          // connected components, lazy (cold path)
-	matcher    *sit.Matcher               // candidate matcher, lazy (cold path)
-	sideInv    bool                       // model scores depend on sideCond only
-	filterMemo map[factorKey]filterApprox // approxFilter memo
-	joinMemo   map[factorKey]joinApprox   // approxJoin memo
-	joinSels   map[sitPair]float64        // per-run histogram-join selectivities
+	// below is live. (Pooled tables stay allocated either way; fast is the
+	// routing switch.)
+	fast bool
+	// The component index and the candidate matcher are bound to the query
+	// on first use: only computing a decomposition consults them, never a
+	// cached read.
+	comps        engine.CompIndex
+	compsBound   bool
+	matcher      sit.Matcher
+	matcherBound bool
+	sideInv      bool                           // model scores depend on sideCond only
+	filterMemo   engine.FlatTable[filterApprox] // approxFilter memo, keyed (pred, cond)
+	joinMemo     engine.FlatTable[joinApprox]   // approxJoin memo, keyed (pred, cond)
+	joinSels     map[sitPair]float64            // per-run histogram-join selectivities
+
+	// frame is the positional frame every entry this run publishes to the
+	// cross-query cache shares, allocated at the first publish (cache.go).
+	frame *CacheFrame
 
 	// Chain-key interning. Chain keys are tie-break/diagnostic strings
 	// only; they are needed the first time a decomposition is actually
@@ -259,9 +279,6 @@ func (e *Estimator) NewRun(q *engine.Query) *Run {
 	r.Query = q
 	r.modelName = e.Model.Name()
 	r.gen = e.Pool.Generation()
-	if r.memo == nil {
-		r.memo = make(map[engine.PredSet]*Result, 64)
-	}
 
 	n := len(q.Preds)
 	r.canonPreds = growPreds(r.canonPreds, n)
@@ -292,9 +309,7 @@ func (e *Estimator) NewRun(q *engine.Query) *Run {
 	if m, ok := e.Model.(sideCondInvariant); ok && m.SideCondInvariant() {
 		r.sideInv = true
 	}
-	if r.filterMemo == nil {
-		r.filterMemo = make(map[factorKey]filterApprox, 32)
-		r.joinMemo = make(map[factorKey]joinApprox, 32)
+	if r.joinSels == nil {
 		r.joinSels = make(map[sitPair]float64, 16)
 	}
 	return r
@@ -310,7 +325,7 @@ func (e *Estimator) getRun() *Run {
 }
 
 // Release resets the run and returns it to its estimator's pool, where the
-// next NewRun reuses its maps, tables and arenas. It must be the caller's
+// next NewRun reuses its tables and arenas. It must be the caller's
 // LAST use of the run and of every *Result obtained from it: cache-hit
 // results live in the run's arenas. Releasing is optional (an unreleased
 // run is ordinary garbage) and must happen at most once; Release on a nil
@@ -327,9 +342,11 @@ func (r *Run) Release() {
 	pool.Put(r)
 }
 
-// reset clears everything query-specific while keeping map buckets and
-// array capacity. Pointer-bearing state (SITs, results, the estimator and
-// query themselves) is nilled or zeroed so a parked run pins nothing.
+// reset clears everything query-specific while keeping table and array
+// capacity, in time proportional to what the query used. Pointer-bearing
+// state (SITs, results, the estimator and query themselves) is nilled or
+// zeroed so a parked run pins nothing; the component index holds no
+// pointers and is rebound on its next use.
 func (r *Run) reset() {
 	r.Est = nil
 	r.Query = nil
@@ -337,18 +354,20 @@ func (r *Run) reset() {
 	r.budget = nil
 	r.modelName = ""
 	r.gen = 0
-	clear(r.memo)
+	r.memo.Reset()
 	r.truthMemo = nil
 	r.derivedMemo = nil
 	r.fast = false
-	r.comps = nil
-	r.matcher = nil
-	r.sideInv = false
-	if r.filterMemo != nil {
-		clear(r.filterMemo)
-		clear(r.joinMemo)
-		clear(r.joinSels)
+	r.compsBound = false
+	if r.matcherBound {
+		r.matcher.Reset(nil, nil)
+		r.matcherBound = false
 	}
+	r.sideInv = false
+	r.filterMemo.Reset()
+	r.joinMemo.Reset()
+	clear(r.joinSels)
+	r.frame = nil
 	r.chainKeys = false
 	r.predKeys = nil
 	r.headKeys = nil
@@ -439,36 +458,38 @@ func (r *Run) GetSelectivity(set engine.PredSet) *Result {
 	if !set.SubsetOf(r.Query.All()) {
 		panic("core: predicate set outside the query")
 	}
-	if res, ok := r.memo[set]; ok {
+	if res, ok := r.memo.Get(0, uint64(set)); ok {
 		return res
 	}
 	if res, ok := r.cacheGet(set); ok {
-		r.memo[set] = res
+		r.memo.Put(0, uint64(set), res)
 		return res
 	}
 	res := r.compute(set)
-	r.memo[set] = res
+	r.memo.Put(0, uint64(set), res)
 	r.cachePut(set, res)
 	return res
 }
 
-// compsFor returns the run's component index, building it on first use:
-// components are only consulted while computing a decomposition, never on a
-// cached read.
+// compsFor returns the run's component index, binding it to the query on
+// first use: components are only consulted while computing a
+// decomposition, never on a cached read.
 func (r *Run) compsFor() *engine.CompIndex {
-	if r.comps == nil {
-		r.comps = engine.NewCompIndex(r.Query.Cat, r.Query.Preds)
+	if !r.compsBound {
+		r.comps.Reset(r.Query.Cat, r.Query.Preds)
+		r.compsBound = true
 	}
-	return r.comps
+	return &r.comps
 }
 
-// matcherFor returns the run's candidate matcher, building it on first use
+// matcherFor returns the run's candidate matcher, binding it on first use
 // (cold path, like compsFor).
 func (r *Run) matcherFor() *sit.Matcher {
-	if r.matcher == nil {
-		r.matcher = sit.NewMatcher(r.Est.Pool, r.Query.Preds)
+	if !r.matcherBound {
+		r.matcher.Reset(r.Est.Pool, r.Query.Preds)
+		r.matcherBound = true
 	}
-	return r.matcher
+	return &r.matcher
 }
 
 // components returns set's connected components, via the run's component

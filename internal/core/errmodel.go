@@ -55,8 +55,22 @@ func (NInd) JoinError(r *Run, pred int, cond engine.PredSet, hl, hr *sit.SIT) fl
 
 func nIndSide(r *Run, cond engine.PredSet, attr engine.AttrID, h *sit.SIT) float64 {
 	side := r.sideCond(cond, attr)
-	matched := h.MatchedSet(r.Query.Preds, side)
+	matched := r.matchedSet(attr, h, side)
 	return float64(side.Len() - matched.Len())
+}
+
+// matchedSet returns h.MatchedSet(r.Query.Preds, side) — the part of side
+// that h's expression covers. On the fast path it reads the answer from the
+// run matcher's projection of attr (see sit.Matcher.ExprMask), a mask and
+// an AND instead of a canonical-value test per member of side; statistics
+// outside the pool index, such as derived SITs, take the direct test.
+func (r *Run) matchedSet(attr engine.AttrID, h *sit.SIT, side engine.PredSet) engine.PredSet {
+	if r.fast {
+		if mask, ok := r.matcherFor().ExprMask(attr, h); ok {
+			return side & mask
+		}
+	}
+	return h.MatchedSet(r.Query.Preds, side)
 }
 
 // Diff is the improved error function of §3.5: the syntactic count |Q−Q'|
@@ -90,7 +104,7 @@ func diffSide(r *Run, cond engine.PredSet, attr engine.AttrID, h *sit.SIT) float
 	if side.Empty() {
 		return 0
 	}
-	if h.MatchedSet(r.Query.Preds, side) == side {
+	if r.matchedSet(attr, h, side) == side {
 		return 0
 	}
 	return 1 - h.Diff

@@ -10,19 +10,13 @@ import (
 	"condsel/internal/sit"
 )
 
-// factorKey identifies one memoized per-predicate factor approximation: the
-// predicate position plus its canonical conditioning set. For side-invariant
-// error models (NInd, Diff) the conditioning set is reduced to the
-// component(s) connected to the predicate's attribute(s), which is what
-// collapses the DP's exponentially many ApproxFactor calls onto the few
-// distinct side components they actually depend on; for other models (Opt)
-// the full conditioning set is the key.
-type factorKey struct {
-	pred int
-	cond engine.PredSet
-}
-
 // filterApprox / joinApprox are the memoized results of scanFilter/scanJoin.
+// The factor memos key them by (predicate position, canonical conditioning
+// set). For side-invariant error models (NInd, Diff) the conditioning set is
+// reduced to the component(s) connected to the predicate's attribute(s),
+// which is what collapses the DP's exponentially many ApproxFactor calls
+// onto the few distinct side components they actually depend on; for other
+// models (Opt) the full conditioning set is the key.
 type filterApprox struct {
 	sel, err float64
 	sit      *sit.SIT
@@ -97,7 +91,7 @@ func (r *Run) approxFactor(pp, qq engine.PredSet, dst []*sit.SIT) (selF, errF fl
 }
 
 // approxFilter approximates Sel(pred|cond) for a filter predicate,
-// memoizing per canonical conditioning set (see factorKey). A memo hit
+// memoizing per canonical conditioning set (see filterApprox). A memo hit
 // returns the identical (selectivity, error, SIT) triple the scan produced.
 func (r *Run) approxFilter(pred int, cond engine.PredSet) (float64, float64, *sit.SIT) {
 	if !r.fast {
@@ -106,12 +100,11 @@ func (r *Run) approxFilter(pred int, cond engine.PredSet) (float64, float64, *si
 	if r.sideInv {
 		cond = r.sideCond(cond, r.Query.Preds[pred].Attr)
 	}
-	key := factorKey{pred, cond}
-	if v, ok := r.filterMemo[key]; ok {
+	if v, ok := r.filterMemo.Get(uint64(pred), uint64(cond)); ok {
 		return v.sel, v.err, v.sit
 	}
 	sel, err, h := r.scanFilter(pred, cond)
-	r.filterMemo[key] = filterApprox{sel, err, h}
+	r.filterMemo.Put(uint64(pred), uint64(cond), filterApprox{sel, err, h})
 	return sel, err, h
 }
 
@@ -156,12 +149,11 @@ func (r *Run) approxJoin(pred int, cond engine.PredSet) (float64, float64, *sit.
 		p := r.Query.Preds[pred]
 		cond = r.sideCond(cond, p.Left).Union(r.sideCond(cond, p.Right))
 	}
-	key := factorKey{pred, cond}
-	if v, ok := r.joinMemo[key]; ok {
+	if v, ok := r.joinMemo.Get(uint64(pred), uint64(cond)); ok {
 		return v.sel, v.err, v.hl, v.hr
 	}
 	sel, err, hl, hr := r.scanJoin(pred, cond)
-	r.joinMemo[key] = joinApprox{sel, err, hl, hr}
+	r.joinMemo.Put(uint64(pred), uint64(cond), joinApprox{sel, err, hl, hr})
 	return sel, err, hl, hr
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
+
+	"condsel/internal/engine"
 )
 
 // TestCachedPathZeroAllocs is the in-repo half of the CI alloc-gate: once
@@ -45,4 +48,65 @@ func TestCachedPathZeroAllocs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// warmRes is the value TestWarmRunStateAllocatesNothing stores in the memo.
+var warmRes = &Result{Sel: 1}
+
+// TestWarmRunStateAllocatesNothing is the uncached search's half of the
+// alloc-gate: once one full uncached run of a query has grown a pooled
+// run's lookup state, the next run's lookups — component index, candidate
+// matcher (candidates and expression masks), and Get/Put on the subset and
+// factor memos — allocate nothing. What the DP still allocates is its
+// winners.
+func TestWarmRunStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and randomizes sync.Pool reuse; allocation counts are only meaningless without -race")
+	}
+	c := dpBenchCaseN(8)
+	est := NewEstimator(c.cat, c.pool, Diff{})
+	full := c.q.All()
+	r := est.NewRun(c.q)
+	r.GetSelectivity(full)
+	r.Release()
+
+	var sink int
+	allocs := testing.AllocsPerRun(20, func() {
+		r := est.NewRun(c.q)
+		comps, m := r.compsFor(), r.matcherFor()
+		for set := engine.PredSet(1); set <= full; set++ {
+			if _, ok := r.memo.Get(0, uint64(set)); ok {
+				continue
+			}
+			sink += len(comps.Components(set))
+			for s := uint64(set); s != 0; s &= s - 1 {
+				i := bits.TrailingZeros64(s)
+				p := c.q.Preds[i]
+				cond := set.Minus(engine.NewPredSet(i))
+				for _, attr := range [2]engine.AttrID{p.Attr, p.Left} {
+					if attr == engine.NoAttr {
+						continue
+					}
+					side := comps.ComponentWith(cond, c.cat.AttrTable(attr))
+					for _, h := range m.Candidates(attr, side) {
+						mask, _ := m.ExprMask(attr, h)
+						sink += mask.Len()
+					}
+				}
+				if p.IsJoin() {
+					if _, ok := r.joinMemo.Get(uint64(i), uint64(cond)); !ok {
+						r.joinMemo.Put(uint64(i), uint64(cond), joinApprox{})
+					}
+				} else if _, ok := r.filterMemo.Get(uint64(i), uint64(cond)); !ok {
+					r.filterMemo.Put(uint64(i), uint64(cond), filterApprox{})
+				}
+			}
+			r.memo.Put(0, uint64(set), warmRes)
+		}
+		r.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm run state allocated %.1f objects/op, want 0", allocs)
+	}
+	_ = sink
 }

@@ -16,29 +16,43 @@ import "math/bits"
 // components ascend by smallest member, which is the order the peeling loop
 // discovers them in). Callers must treat returned slices as read-only.
 //
-// A CompIndex is single-goroutine state, like the run memo it serves.
+// The zero CompIndex is unbound; Reset binds it to a predicate slice. Its
+// owner keeps it across queries: Reset reuses the adjacency arrays, the
+// memo table and the component arena, so a warm index allocates nothing.
+// Components live in one arena that grows by append and is indexed by
+// offset from the memo; a slice handed out before the arena grew keeps
+// pointing into the old array, whose contents never change. A CompIndex
+// holds no pointers into the query or catalog, and is single-goroutine
+// state, like the run memo it serves.
 type CompIndex struct {
 	adj    []PredSet  // adj[i]: predicates sharing a table with predicate i
 	tables []TableSet // tables[i]: tables referenced by predicate i
-	memo   map[PredSet]compEntry
+	memo   FlatTable[compSpan]
+
+	// Component arena: sets[k] is a component, tabs[k] its referenced
+	// tables (sideways lookups by table would otherwise rescan the
+	// predicates). A subset's partition is the span memo records.
+	sets []PredSet
+	tabs []TableSet
 }
 
-// compEntry caches one subset's partition alongside each component's table
-// set (sideways lookups by table would otherwise rescan the predicates).
-type compEntry struct {
-	sets   []PredSet
-	tables []TableSet
-}
+// compSpan locates one subset's partition in the component arena.
+type compSpan struct{ off, n uint32 }
 
-// NewCompIndex builds the adjacency index for the predicate slice.
-func NewCompIndex(c *Catalog, preds []Pred) *CompIndex {
+// Reset binds the index to the predicate slice, dropping every memoized
+// partition. It costs the adjacency build plus the entries memoized since
+// the last Reset, whatever the capacity a larger query left behind.
+func (ci *CompIndex) Reset(c *Catalog, preds []Pred) {
 	n := len(preds)
-	ci := &CompIndex{
-		adj:    make([]PredSet, n),
-		tables: make([]TableSet, n),
-		memo:   make(map[PredSet]compEntry),
+	if cap(ci.adj) < n {
+		ci.adj = make([]PredSet, n)
+		ci.tables = make([]TableSet, n)
 	}
+	ci.adj, ci.tables = ci.adj[:n], ci.tables[:n]
+	ci.memo.Reset()
+	ci.sets, ci.tabs = ci.sets[:0], ci.tabs[:0]
 	for i := range preds {
+		ci.adj[i] = 0
 		ci.tables[i] = preds[i].Tables(c)
 	}
 	for i := 0; i < n; i++ {
@@ -49,15 +63,14 @@ func NewCompIndex(c *Catalog, preds []Pred) *CompIndex {
 			}
 		}
 	}
-	return ci
 }
 
 // entry returns (computing and memoizing) the subset's partition.
-func (ci *CompIndex) entry(set PredSet) compEntry {
-	if e, ok := ci.memo[set]; ok {
+func (ci *CompIndex) entry(set PredSet) compSpan {
+	if e, ok := ci.memo.Get(0, uint64(set)); ok {
 		return e
 	}
-	var e compEntry
+	off := len(ci.sets)
 	for rest := set; rest != 0; {
 		seed := PredSet(1) << uint(bits.TrailingZeros64(uint64(rest)))
 		comp, frontier := seed, seed
@@ -73,19 +86,25 @@ func (ci *CompIndex) entry(set PredSet) compEntry {
 			comp = comp.Union(next)
 			frontier = next
 		}
-		e.sets = append(e.sets, comp)
-		e.tables = append(e.tables, tabs)
+		ci.sets = append(ci.sets, comp)
+		ci.tabs = append(ci.tabs, tabs)
 		rest = rest.Minus(comp)
 	}
-	ci.memo[set] = e
+	e := compSpan{off: uint32(off), n: uint32(len(ci.sets) - off)}
+	ci.memo.Put(0, uint64(set), e)
 	return e
 }
 
 // Components returns the connected components of the subset, identical to
-// Components(cat, preds, set) in value and order. The returned slice is
-// shared with the memo; callers must not modify it.
+// Components(cat, preds, set) in value and order (nil for the empty set).
+// The returned slice is shared with the index; callers must not modify it.
 func (ci *CompIndex) Components(set PredSet) []PredSet {
-	return ci.entry(set).sets
+	e := ci.entry(set)
+	if e.n == 0 {
+		return nil
+	}
+	end := e.off + e.n
+	return ci.sets[e.off:end:end]
 }
 
 // ComponentWith returns the component of set whose referenced tables include
@@ -94,9 +113,9 @@ func (ci *CompIndex) Components(set PredSet) []PredSet {
 // components cannot influence an attribute of t.
 func (ci *CompIndex) ComponentWith(set PredSet, t TableID) PredSet {
 	e := ci.entry(set)
-	for k, comp := range e.sets {
-		if e.tables[k].Has(t) {
-			return comp
+	for k := e.off; k < e.off+e.n; k++ {
+		if ci.tabs[k].Has(t) {
+			return ci.sets[k]
 		}
 	}
 	return 0

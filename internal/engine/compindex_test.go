@@ -39,13 +39,14 @@ func compCase(rng *rand.Rand) (*Catalog, []Pred) {
 // TestCompIndexMatchesComponents: the index returns exactly what the
 // union-find Components returns — same partition, same order — for every
 // subset of many random predicate slices, and ComponentWith agrees with a
-// scan over PredsTables.
+// scan over PredsTables. One index is reset across all trials.
 func TestCompIndexMatchesComponents(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
+	var ci CompIndex // one index across trials: Reset must drop the last query's state
 	for trial := 0; trial < 200; trial++ {
 		cat, preds := compCase(rng)
-		ci := NewCompIndex(cat, preds)
+		ci.Reset(cat, preds)
 		full := FullPredSet(len(preds))
 		for set := PredSet(0); set <= full; set++ {
 			want := Components(cat, preds, set)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -145,11 +146,12 @@ func (p Pred) Matches(c *Catalog, row int) bool {
 }
 
 // PredsTables returns the union of tables referenced by the predicates at
-// positions in set over preds.
+// positions in set over preds. It walks the set bits and allocates nothing:
+// the robust ladder calls it once per request, cached reads included.
 func PredsTables(c *Catalog, preds []Pred, set PredSet) TableSet {
 	var ts TableSet
-	for _, i := range set.Indices() {
-		ts = ts.Union(preds[i].Tables(c))
+	for s := uint64(set); s != 0; s &= s - 1 {
+		ts = ts.Union(preds[bits.TrailingZeros64(s)].Tables(c))
 	}
 	return ts
 }

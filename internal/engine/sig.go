@@ -14,8 +14,8 @@ import "math/bits"
 // it is order-invariant and — unlike XOR — keeps duplicated predicates
 // distinguishable (a multiset property PredsKey also has). Signatures are
 // compared, never decoded; consumers that must be immune to the ~2^-64
-// residual hash-collision probability store the canonical predicates
-// alongside and verify them on lookup (see core.CacheEntry.Preds).
+// residual hash-collision probability keep the canonical predicates
+// alongside and verify them on lookup (see core.CacheEntry.Frame).
 type PredSig struct {
 	Tables TableSet
 	Hash   uint64

@@ -42,13 +42,16 @@ func matcherCase(rng *rand.Rand) (*engine.Catalog, []engine.Pred, *Pool) {
 // TestMatcherMatchesPoolCandidates: for every attribute and every
 // conditioning subset, the Matcher returns exactly what Pool.Candidates
 // returns — same SIT pointers in the same order — on cold and cached
-// lookups alike.
+// lookups alike, and every candidate's ExprMask agrees with MatchedSet. One
+// Matcher serves every trial, so each Reset must leave nothing of the
+// previous query behind.
 func TestMatcherMatchesPoolCandidates(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
+	var m Matcher
 	for trial := 0; trial < 40; trial++ {
 		cat, preds, pool := matcherCase(rng)
-		m := NewMatcher(pool, preds)
+		m.Reset(pool, preds)
 		full := engine.FullPredSet(len(preds))
 		var attrs []engine.AttrID
 		for ti := 0; ti < cat.NumTables(); ti++ {
@@ -68,6 +71,14 @@ func TestMatcherMatchesPoolCandidates(t *testing.T) {
 							t.Fatalf("trial %d pass %d attr %d cond %v: candidate %d = %s, want %s",
 								trial, pass, attr, cond, k, got[k].ID(), want[k].ID())
 						}
+						mask, ok := m.ExprMask(attr, got[k])
+						if !ok {
+							t.Fatalf("trial %d: ExprMask misses indexed candidate %s", trial, got[k].ID())
+						}
+						if mask&cond != got[k].MatchedSet(preds, cond) {
+							t.Fatalf("trial %d attr %d cond %v: ExprMask of %s = %v, MatchedSet %v",
+								trial, attr, cond, got[k].ID(), mask&cond, got[k].MatchedSet(preds, cond))
+						}
 					}
 				}
 			}
@@ -81,7 +92,8 @@ func TestMatcherCountsMatchCalls(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(8))
 	cat, preds, pool := matcherCase(rng)
-	m := NewMatcher(pool, preds)
+	var m Matcher
+	m.Reset(pool, preds)
 	attr := cat.AttrsOfTable(0)[0]
 	pool.ResetMatchCalls()
 	m.Candidates(attr, 0)

@@ -95,6 +95,11 @@ type poolIndex struct {
 type attrIndex struct {
 	sits []*SIT // sorted by ID — the order Candidates must return
 
+	// sizes[k] is the number of distinct predicates in sits[k]'s
+	// expression: a Matcher matches sits[k] when a conditioning set holds
+	// that many of its positions.
+	sizes []int
+
 	// supersets[k] lists positions j within sits such that sits[k]'s
 	// expression is a strict subset of sits[j]'s (the §3.3 maximality
 	// relation: k is dropped whenever any of supersets[k] also matches).
@@ -150,8 +155,10 @@ func (p *Pool) buildIndex(gen uint64) (*poolIndex, []QuarantineRecord) {
 			ai.sits = append(ai.sits, s)
 		}
 		sort.Slice(ai.sits, func(i, j int) bool { return ai.sits[i].ID() < ai.sits[j].ID() })
+		ai.sizes = make([]int, len(ai.sits))
 		ai.supersets = make([][]int32, len(ai.sits))
 		for k, s := range ai.sits {
+			ai.sizes[k] = len(s.exprSet)
 			for j, t := range ai.sits {
 				if j != k && s.ExprSubsetOf(t) && t.ExprSize() > s.ExprSize() {
 					ai.supersets[k] = append(ai.supersets[k], int32(j))
@@ -431,14 +438,13 @@ func (p *Pool) Candidates(preds []engine.Pred, attr engine.AttrID, q engine.Pred
 	for k, s := range ai.sits {
 		matched[k] = s.MatchesSubset(preds, q)
 	}
-	return ai.maximal(matched)
+	return ai.appendMaximal(nil, matched)
 }
 
-// maximal returns the matched SITs that survive the §3.3 maximality rule
-// (no other matched SIT's expression strictly contains theirs), in the
-// index's canonical ID order.
-func (ai *attrIndex) maximal(matched []bool) []*SIT {
-	var out []*SIT
+// appendMaximal appends to out the matched SITs that survive the §3.3
+// maximality rule (no other matched SIT's expression strictly contains
+// theirs), in the index's canonical ID order.
+func (ai *attrIndex) appendMaximal(out []*SIT, matched []bool) []*SIT {
 	for k, ok := range matched {
 		if !ok {
 			continue

@@ -33,21 +33,32 @@ type SIT struct {
 	id      string  // canonical identity, precomputed (ID is hot)
 }
 
-// exprSet indexes an expression's distinct predicates by canonical value
+// exprSet lists an expression's distinct predicates by canonical value
 // (Pred.Canon). Equal Key() strings and equal canonical forms coincide, so
 // membership by value answers exactly what a Key()-keyed set would, without
-// formatting a string per test.
-type exprSet map[engine.Pred]bool
+// formatting a string per test. Pool expressions hold at most a few
+// predicates, so a linear scan of a slice beats hashing the 48-byte value.
+type exprSet []engine.Pred
+
+// has reports whether the canonical predicate c is a member.
+func (e exprSet) has(c engine.Pred) bool {
+	for _, p := range e {
+		if p == c {
+			return true
+		}
+	}
+	return false
+}
 
 // newExprSet indexes expr and returns the set with its sorted distinct
 // Key() strings — the material of a statistic's canonical ID, formatted
 // once at construction.
 func newExprSet(expr []engine.Pred) (exprSet, []string) {
-	set := make(exprSet, len(expr))
+	set := make(exprSet, 0, len(expr))
 	keys := make([]string, 0, len(expr))
 	for _, p := range expr {
-		if c := p.Canon(); !set[c] {
-			set[c] = true
+		if c := p.Canon(); !set.has(c) {
+			set = append(set, c)
 			keys = append(keys, p.Key())
 		}
 	}
@@ -61,7 +72,7 @@ func (e exprSet) matched(preds []engine.Pred, q engine.PredSet) engine.PredSet {
 	var m engine.PredSet
 	for b := uint64(q); b != 0; b &= b - 1 {
 		i := bits.TrailingZeros64(b)
-		if e[preds[i].Canon()] {
+		if e.has(preds[i].Canon()) {
 			m = m.Add(i)
 		}
 	}
@@ -84,8 +95,8 @@ func (e exprSet) subsetOf(f exprSet) bool {
 	if len(e) > len(f) {
 		return false
 	}
-	for p := range e {
-		if !f[p] {
+	for _, p := range e {
+		if !f.has(p) {
 			return false
 		}
 	}
@@ -102,6 +113,7 @@ func NewSIT(c *engine.Catalog, attr engine.AttrID, expr []engine.Pred, h *histog
 	}
 	var keys []string
 	s.exprSet, keys = newExprSet(expr)
+	//lint:ignore hotalloc construction only: a SIT's ID is formatted once, when the statistic is built or derived
 	s.id = fmt.Sprintf("%d|%s", s.Attr, strings.Join(keys, "&"))
 	return s
 }
