@@ -3,50 +3,58 @@
 // accuracy scatter (Figure 5), view-matching call counts (Figure 6),
 // average absolute cardinality error per SIT pool and technique
 // (Figure 7), the estimation-time breakdown (Figure 8), the Lemma 1
-// decomposition-count table, the ablation tables A1–A6, the
+// decomposition-count table, the ablation tables A1–A7, the
 // plan-quality study P1, the estimation-service throughput benchmark
 // ("est": shared estimator under concurrent load, with or without the
-// cross-query selectivity cache), and the getSelectivity hot-path benchmark
+// cross-query selectivity cache), the getSelectivity hot-path benchmark
 // ("dp": NoFastPath baseline vs the optimized DP across query sizes, search
 // modes and error models), the large-scale soak harness ("soak": a grown
 // 100+-table schema driven through repeated drift → rebuild → hot-swap →
-// fault → recovery arcs under phased adversarial workloads), and the
+// fault → recovery arcs under phased adversarial workloads), the
 // service-layer load arc ("serve": a real sitserve-shaped HTTP server driven
 // through open → overload → drain phases, recording per-phase status/tier/
-// shed distributions and the un-armed service overhead).
+// shed distributions and the un-armed service overhead), and the
+// distributed-tier arc ("cluster": warm → partition → heal → fence over an
+// in-process cluster, plus the un-armed overhead of a cluster node).
 //
 // Usage:
 //
-//	sitbench [-fig all|5|6|7|8|lemma1|ablations|a1..a6|p1|est|dp|robust|lifecycle|soak|serve]
+//	sitbench [-fig all|5|6|7|8|lemma1|ablations|a1..a7|p1|est|dp|robust|lifecycle|soak|serve|cluster]
 //	         [-fact N] [-queries N] [-joins 3,5,7] [-maxpool N]
 //	         [-subsets N] [-seed N] [-filtersel F] [-csv FILE]
 //	         [-workers N] [-cache] [-cachecap N] [-rounds N] [-json FILE]
-//	         [-sizes 6,8,10,12] [-iters N] [-cycles N]
-//	         [-tables N] [-duration D] [-phases flash,churn,...]
+//	         [-sizes 6,8,10,12] [-iters N] [-gate FILE] [-faults=BOOL]
+//	         [-cycles N] [-tables N] [-duration D] [-phases flash,churn,...]
+//	         [-slots N] [-phase D] [-nodes N]
 //
 // With -csv the selected figure's data is additionally written as CSV
 // (single figures only, not the "all"/"ablations" bundles). -fig est
 // always measures the sequential cache-off baseline alongside the
 // requested -workers/-cache configuration; -fig dp always measures the
 // NoFastPath baseline alongside the optimized estimator over -sizes
-// predicate counts. -fig robust times the un-armed degradation ladder
-// against the plain estimator (bit-identical answers are asserted, not
-// assumed) and, with -faults (the default), arms each fault-injection
-// point in turn and records which ladder tiers answer. -fig lifecycle
-// measures the statistics lifecycle manager: un-armed hot-path overhead of
-// the manager-fronted estimator (contract: ≤ 1%), rebuild + hot-swap
-// throughput, and crash-safe snapshot write/recover latency. -fig soak runs
-// the internal/soak harness: -tables sizes the grown schema, -cycles runs
-// that many compressed arcs (deterministic event log, the CI mode),
-// -duration keeps cycling until the clock expires, and -phases selects a
-// subset of the arc. -fig serve drives the estimation service itself:
-// -slots sizes admission, -phase the per-phase wall clock, and the report
-// asserts-by-numbers the overload contract (zero 5xx, provenance on every
-// answer, sheds absorbed by cheaper tiers). All six write a -json artifact
-// in the shared condsel-bench/v1 envelope (defaults: BENCH_estimation.json
-// for est, BENCH_dp.json for dp, BENCH_robust.json for robust,
-// BENCH_lifecycle.json for lifecycle, BENCH_soak.json for soak,
-// BENCH_serve.json for serve).
+// predicate counts, -iters times per variant, and -gate checks its cached
+// path against a committed BENCH_dp.json. -fig robust times the un-armed
+// degradation ladder against the plain estimator (bit-identical answers
+// are asserted, not assumed) and, with -faults (the default), arms each
+// fault-injection point in turn and records which ladder tiers answer.
+// -fig lifecycle measures the statistics lifecycle manager: un-armed
+// hot-path overhead of the manager-fronted estimator (contract: ≤ 1%),
+// rebuild + hot-swap throughput, and crash-safe snapshot write/recover
+// latency. -fig soak runs the internal/soak harness: -tables sizes the
+// grown schema, -cycles runs that many compressed arcs (deterministic event
+// log, the CI mode), -duration keeps cycling until the clock expires, and
+// -phases selects a subset of the arc. -fig serve drives the estimation
+// service itself: -slots sizes admission, -phase the per-phase wall clock,
+// and the report asserts-by-numbers the overload contract (zero 5xx,
+// provenance on every answer, sheds absorbed by cheaper tiers). -fig
+// cluster runs the partition arc on -nodes in-process nodes. The robust,
+// lifecycle, serve and cluster overheads come from one paired A/B
+// comparison with a fixed pair count (bench.OverheadPairs), so no flag
+// sets their rounds. All seven write a -json artifact in the shared
+// condsel-bench/v1 envelope (defaults: BENCH_estimation.json for est,
+// BENCH_dp.json for dp, BENCH_robust.json for robust, BENCH_lifecycle.json
+// for lifecycle, BENCH_soak.json for soak, BENCH_serve.json for serve,
+// BENCH_cluster.json for cluster).
 package main
 
 import (
@@ -78,7 +86,7 @@ func main() {
 		useCache  = flag.Bool("cache", false, "attach the cross-query selectivity cache for -fig est")
 		cacheCap  = flag.Int("cachecap", 0, "cache capacity in entries for -fig est (0 = default)")
 		rounds    = flag.Int("rounds", 3, "workload passes for -fig est")
-		jsonPath  = flag.String("json", "", "JSON artifact path for -fig est/dp (default per figure)")
+		jsonPath  = flag.String("json", "", "JSON artifact path for -fig est, dp, robust, lifecycle, soak, serve or cluster (default BENCH_<figure>.json; est writes BENCH_estimation.json)")
 		sizes     = flag.String("sizes", "6,8,10,12", "query predicate counts for -fig dp")
 		gatePath  = flag.String("gate", "", "for -fig dp: committed BENCH_dp.json to gate against (0 allocs/op on the cached path)")
 		iters     = flag.Int("iters", 0, "timed passes per variant for -fig dp (0 = default)")
@@ -122,8 +130,8 @@ func main() {
 		os.Exit(2)
 	}
 	dpCfg := bench.DPBenchConfig{Sizes: ns, Iters: *iters}
-	robustCfg := bench.RobustBenchConfig{Iters: *iters, Faults: *withFault}
-	lifecycleCfg := bench.LifecycleBenchConfig{Iters: *iters, Cycles: *cycles}
+	robustCfg := bench.RobustBenchConfig{Faults: *withFault}
+	lifecycleCfg := bench.LifecycleBenchConfig{Cycles: *cycles}
 	serveCfg := bench.ServeBenchConfig{Slots: *slots, Phase: *phaseDur}
 	clusterCfg := bench.ClusterBenchConfig{Nodes: *nodes}
 	soakCfg := soak.Config{

@@ -189,7 +189,7 @@ func run(ctx context.Context, stop context.CancelFunc, opt options) error {
 		return err
 	}
 	local := len(node.MergedPool().SITs())
-	fmt.Printf("sitnode %s: owns %d of %d SITs (epoch %d)\n", opt.id, local, len(full.SITs()), node.Stamp().Epoch)
+	fmt.Printf("sitnode %s: owns %d of %d SITs (epoch %d)\n", opt.id, local, len(full.SITs()), node.Stamp().Epoch.Count())
 
 	rln, err := net.Listen("tcp", opt.raddr)
 	if err != nil {

@@ -24,16 +24,6 @@ func TestDetMapRangeFixture(t *testing.T) {
 	testFixture(t, "detmaprange", []Analyzer{NewDetMapRange()})
 }
 
-func TestCacheKeyGenFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "cachekeygen", []Analyzer{NewCacheKeyGen()})
-}
-
-func TestClusterFenceFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "clusterfence", []Analyzer{NewClusterFence()})
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	t.Parallel()
 	testFixture(t, "lockorder", []Analyzer{NewLockOrder()})

@@ -11,8 +11,6 @@ import "sort"
 func Suite() []Analyzer {
 	analyzers := []Analyzer{
 		NewAtomicMix(),
-		NewCacheKeyGen(),
-		NewClusterFence(),
 		NewCtxFlow(),
 		NewCtxLoop(),
 		NewDetMapRange(),

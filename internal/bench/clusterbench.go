@@ -11,7 +11,6 @@ import (
 
 	"condsel/internal/cluster"
 	"condsel/internal/core"
-	"condsel/internal/engine"
 	"condsel/internal/faults"
 	"condsel/internal/robust"
 )
@@ -26,7 +25,6 @@ type ClusterBenchConfig struct {
 	Nodes         int // cluster size (default 3)
 	PoolJoins     int // SIT pool J_i (default 2)
 	WorkloadJoins int // workload join count (default 3)
-	OverheadIters int // alternating-order rounds for the overhead figure (default 31)
 }
 
 func (c ClusterBenchConfig) withDefaults() ClusterBenchConfig {
@@ -38,9 +36,6 @@ func (c ClusterBenchConfig) withDefaults() ClusterBenchConfig {
 	}
 	if c.WorkloadJoins == 0 {
 		c.WorkloadJoins = 3
-	}
-	if c.OverheadIters <= 0 {
-		c.OverheadIters = 31
 	}
 	return c
 }
@@ -79,11 +74,9 @@ type ClusterBenchReport struct {
 	FenceRejections     int64 `json:"fence_rejections"`
 	GenerationMoved     bool  `json:"generation_moved_on_replay"`
 
-	// Un-armed overhead: warm-node Estimate vs the bare robust ladder over
-	// the identical full pool, per-query minimum over alternating rounds.
-	BareNsPerOp    float64 `json:"bare_ns_per_op"`
-	ClusterNsPerOp float64 `json:"cluster_ns_per_op"`
-	OverheadPct    float64 `json:"overhead_pct"`
+	// Un-armed overhead: warm-node Estimate (managed) vs the bare robust
+	// ladder over the identical full pool.
+	Overhead
 }
 
 // ClusterBench provisions an in-process cluster over the environment's pool
@@ -175,7 +168,7 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 
 	// --- Heal: epoch-bumped rebuild, re-replication, bit-identity back --
 	lost.RebuildLocal(h.Ring.Shard(pool, lost.ID()))
-	report.RebuiltEpoch = uint64(lost.Stamp().Epoch)
+	report.RebuiltEpoch = lost.Stamp().Epoch.Count()
 	h.Transport.HealAll()
 	for _, id := range h.IDs {
 		if id == cold.ID() {
@@ -217,40 +210,19 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 	// --- Un-armed overhead ----------------------------------------------
 	// The warm probe's merged pool carries the same statistics as the full
 	// pool, so the delta against the bare ladder is the tier's steady-state
-	// cost alone: one atomic load plus the missing-peer check. Per-query
-	// minima over alternating-order rounds, the RobustBench idiom.
-	bmin := make([]float64, len(queries))
-	cmin := make([]float64, len(queries))
-	for i := range bmin {
-		bmin[i], cmin[i] = math.Inf(1), math.Inf(1)
+	// cost alone: one atomic load plus the missing-peer check.
+	bare := func(i int) float64 {
+		card, _ := ladder.Cardinality(ctx, queries[i])
+		return card
 	}
-	timeBare := func(i int, q *engine.Query) {
-		start := time.Now()
-		ladder.Cardinality(ctx, q)
-		bmin[i] = math.Min(bmin[i], float64(time.Since(start).Nanoseconds()))
+	node := func(i int) float64 {
+		card, _ := cold.Estimate(ctx, queries[i], robust.Config{})
+		return card
 	}
-	timeCluster := func(i int, q *engine.Query) {
-		start := time.Now()
-		cold.Estimate(ctx, q, robust.Config{})
-		cmin[i] = math.Min(cmin[i], float64(time.Since(start).Nanoseconds()))
+	report.Overhead, err = measureOverhead(len(queries), bare, node)
+	if err != nil {
+		panic(fmt.Sprintf("bench: cluster estimate diverged from the bare ladder: %v", err))
 	}
-	for it := 0; it < cfg.OverheadIters; it++ {
-		core.ResetHistJoinCache()
-		for i, q := range queries {
-			if it%2 == 0 {
-				timeBare(i, q)
-				timeCluster(i, q)
-			} else {
-				timeCluster(i, q)
-				timeBare(i, q)
-			}
-		}
-	}
-	for i := range bmin {
-		report.BareNsPerOp += bmin[i] / float64(len(queries))
-		report.ClusterNsPerOp += cmin[i] / float64(len(queries))
-	}
-	report.OverheadPct = 100 * (report.ClusterNsPerOp - report.BareNsPerOp) / report.BareNsPerOp
 	return report
 }
 
@@ -288,6 +260,5 @@ func RenderCluster(w io.Writer, r ClusterBenchReport) {
 		r.RebuiltEpoch, r.BitIdenticalHealed)
 	fmt.Fprintf(w, "fence:     stale replay rejected: %v (rejections=%d, generation moved: %v)\n",
 		r.StaleReplayRejected, r.FenceRejections, r.GenerationMoved)
-	fmt.Fprintf(w, "overhead:  bare %.0f ns/op vs cluster %.0f ns/op (%.2f%%)\n",
-		r.BareNsPerOp, r.ClusterNsPerOp, r.OverheadPct)
+	fmt.Fprintf(w, "overhead:  %v\n", r.Overhead)
 }

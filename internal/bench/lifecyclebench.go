@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"time"
 
 	"condsel/internal/core"
-	"condsel/internal/engine"
 	"condsel/internal/lifecycle"
 	"condsel/internal/sit"
 	"condsel/internal/workload"
@@ -24,7 +22,6 @@ import (
 // the crash-safe persistence path.
 type LifecycleBenchConfig struct {
 	Queries   int // queries in the overhead workload (default 8)
-	Iters     int // timed passes per variant (default 5)
 	PoolJoins int // SIT pool J_i (default 2)
 	Cycles    int // full stale→rebuilt cycles for throughput (default 3)
 	Snapshots int // checkpoint/recover rounds (default 5)
@@ -33,9 +30,6 @@ type LifecycleBenchConfig struct {
 func (c LifecycleBenchConfig) withDefaults() LifecycleBenchConfig {
 	if c.Queries == 0 {
 		c.Queries = 8
-	}
-	if c.Iters == 0 {
-		c.Iters = 5
 	}
 	if c.PoolJoins == 0 {
 		c.PoolJoins = 2
@@ -54,7 +48,6 @@ type LifecycleBenchReport struct {
 	Seed      int64 `json:"seed"`
 	FactRows  int   `json:"fact_rows"`
 	Queries   int   `json:"queries"`
-	Iters     int   `json:"iters"`
 	PoolJoins int   `json:"pool_joins"`
 	PoolSize  int   `json:"pool_size"`
 	Workers   int   `json:"workers"`
@@ -62,9 +55,7 @@ type LifecycleBenchReport struct {
 	// Un-armed hot-path overhead: a manager-fronted estimate against a bare
 	// estimator over identical queries and pool. The lifecycle contract is
 	// ≤ 1% — the manager's only added cost is one atomic epoch load.
-	BareNsPerOp    float64 `json:"bare_ns_per_op"`
-	ManagedNsPerOp float64 `json:"managed_ns_per_op"`
-	OverheadPct    float64 `json:"overhead_pct"`
+	Overhead
 
 	// Rebuild throughput: statistics cycled stale → rebuilt → hot-swapped
 	// per second, bounded-concurrency workers included.
@@ -81,7 +72,8 @@ type LifecycleBenchReport struct {
 
 // LifecycleBench measures the lifecycle manager. Answers of the two overhead
 // variants are compared before anything is timed: un-armed bit-identity is
-// the manager's contract, enforced here as well as in tests.
+// the manager's contract, enforced here as well as in tests. Both variants
+// release their runs, as served code does.
 func (e *Env) LifecycleBench(cfg LifecycleBenchConfig) LifecycleBenchReport {
 	cfg = cfg.withDefaults()
 	workers := runtime.GOMAXPROCS(0)
@@ -89,7 +81,6 @@ func (e *Env) LifecycleBench(cfg LifecycleBenchConfig) LifecycleBenchReport {
 		Seed:      e.Opts.Seed,
 		FactRows:  e.Opts.FactRows,
 		Queries:   cfg.Queries,
-		Iters:     cfg.Iters,
 		PoolJoins: cfg.PoolJoins,
 		Workers:   workers,
 	}
@@ -112,47 +103,18 @@ func (e *Env) LifecycleBench(cfg LifecycleBenchConfig) LifecycleBenchReport {
 	// --- Un-armed hot-path overhead -------------------------------------
 	bare := core.NewEstimator(e.DB.Cat, pool, core.Diff{})
 	mgr := lifecycle.New(e.DB.Cat, pool, lifecycle.Config{})
-	for _, q := range queries {
-		want := bare.NewRun(q).GetSelectivity(q.All()).Sel
-		got := mgr.Estimator().NewRun(q).GetSelectivity(q.All()).Sel
-		if got != want {
-			panic(fmt.Sprintf("bench: manager-fronted estimate diverged: %v vs %v", got, want))
-		}
+	estimate := func(est *core.Estimator, i int) float64 {
+		r := est.NewRun(queries[i])
+		sel := r.GetSelectivity(queries[i].All()).Sel
+		r.Release()
+		return sel
 	}
-	// Per-query minimum across alternating-order rounds (see RobustBench for
-	// why the minimum and the order flip).
-	bmin := make([]float64, len(queries))
-	mmin := make([]float64, len(queries))
-	for i := range bmin {
-		bmin[i], mmin[i] = math.Inf(1), math.Inf(1)
+	report.Overhead, err = measureOverhead(len(queries),
+		func(i int) float64 { return estimate(bare, i) },
+		func(i int) float64 { return estimate(mgr.Estimator(), i) })
+	if err != nil {
+		panic(fmt.Sprintf("bench: manager-fronted estimate diverged: %v", err))
 	}
-	timeBare := func(i int, q *engine.Query) {
-		start := time.Now()
-		bare.NewRun(q).GetSelectivity(q.All())
-		bmin[i] = math.Min(bmin[i], float64(time.Since(start).Nanoseconds()))
-	}
-	timeManaged := func(i int, q *engine.Query) {
-		start := time.Now()
-		mgr.Estimator().NewRun(q).GetSelectivity(q.All())
-		mmin[i] = math.Min(mmin[i], float64(time.Since(start).Nanoseconds()))
-	}
-	for it := 0; it < cfg.Iters; it++ {
-		core.ResetHistJoinCache()
-		for i, q := range queries {
-			if it%2 == 0 {
-				timeBare(i, q)
-				timeManaged(i, q)
-			} else {
-				timeManaged(i, q)
-				timeBare(i, q)
-			}
-		}
-	}
-	for i := range bmin {
-		report.BareNsPerOp += bmin[i] / float64(len(queries))
-		report.ManagedNsPerOp += mmin[i] / float64(len(queries))
-	}
-	report.OverheadPct = 100 * (report.ManagedNsPerOp - report.BareNsPerOp) / report.BareNsPerOp
 
 	// --- Rebuild + hot-swap throughput ----------------------------------
 	rm := lifecycle.New(e.DB.Cat, pool, lifecycle.Config{Workers: workers, Seed: e.Opts.Seed})
@@ -228,12 +190,9 @@ func WriteLifecycleJSON(w io.Writer, r LifecycleBenchReport) error {
 
 // RenderLifecycle prints the report as text.
 func RenderLifecycle(w io.Writer, r LifecycleBenchReport) {
-	fmt.Fprintf(w, "statistics lifecycle — %d queries × %d iters, pool J%d (%d SITs), %d workers (seed %d)\n\n",
-		r.Queries, r.Iters, r.PoolJoins, r.PoolSize, r.Workers, r.Seed)
-	fmt.Fprintf(w, "hot path    bare %12s   managed %12s   overhead %5.2f%%\n",
-		time.Duration(r.BareNsPerOp).Round(time.Microsecond),
-		time.Duration(r.ManagedNsPerOp).Round(time.Microsecond),
-		r.OverheadPct)
+	fmt.Fprintf(w, "statistics lifecycle — %d queries, pool J%d (%d SITs), %d workers (seed %d)\n\n",
+		r.Queries, r.PoolJoins, r.PoolSize, r.Workers, r.Seed)
+	fmt.Fprintf(w, "hot path    %v\n", r.Overhead)
 	fmt.Fprintf(w, "rebuilds    %d rebuilt + hot-swapped in %.2fs = %.1f/s\n",
 		r.Rebuilds, r.RebuildSeconds, r.RebuildsPerSecond)
 	fmt.Fprintf(w, "snapshots   write %.2fms   recover %.2fms   (%d bytes)\n",

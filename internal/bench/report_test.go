@@ -14,9 +14,12 @@ import (
 func TestReportEnvelopeRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := RobustBenchReport{
-		Seed: 42, FactRows: 4000, Queries: 4, Iters: 3, PoolJoins: 2,
+		Seed: 42, FactRows: 4000, Queries: 4, PoolJoins: 2,
 		Cells: []RobustBenchCell{
-			{N: 6, Joins: 3, Filters: 3, PlainNsPerOp: 1000, RobustNsPerOp: 1010, OverheadPct: 1.0},
+			{N: 6, Joins: 3, Filters: 3, Overhead: Overhead{
+				BareNsPerOp: 1000, ManagedNsPerOp: 1010, OverheadPct: 1.0,
+				Pairs: 32, PairP25Pct: -0.5, PairP50Pct: 0.25, PairP75Pct: 1.5,
+			}},
 		},
 		MaxOverheadPct: 1.0,
 		Faulted: []RobustFaultCell{
@@ -69,7 +72,7 @@ func TestReportRejectsNonFinite(t *testing.T) {
 		path    string
 	}{
 		{"top-level NaN",
-			LifecycleBenchReport{Seed: 1, OverheadPct: math.NaN()}, "OverheadPct"},
+			LifecycleBenchReport{Seed: 1, RebuildsPerSecond: math.NaN()}, "RebuildsPerSecond"},
 		{"nested +Inf",
 			EstBenchReport{Seed: 1, Baseline: EstBenchResult{QueriesPerSec: math.Inf(1)}},
 			"Baseline.QueriesPerSec"},

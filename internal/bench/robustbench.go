@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"time"
 
 	"condsel/internal/core"
 	"condsel/internal/engine"
@@ -23,7 +22,6 @@ import (
 type RobustBenchConfig struct {
 	Sizes     []int // total predicate counts (default 6,8,10)
 	Queries   int   // queries measured per size (default 4)
-	Iters     int   // timed passes over those queries per variant (default 3)
 	PoolJoins int   // SIT pool J_i to estimate against (default 2)
 	Faults    bool  // additionally run the armed fault-schedule section
 }
@@ -34,9 +32,6 @@ func (c RobustBenchConfig) withDefaults() RobustBenchConfig {
 	}
 	if c.Queries == 0 {
 		c.Queries = 4
-	}
-	if c.Iters == 0 {
-		c.Iters = 3
 	}
 	if c.PoolJoins == 0 {
 		c.PoolJoins = 2
@@ -51,11 +46,8 @@ type RobustBenchCell struct {
 	Joins   int `json:"joins"`
 	Filters int `json:"filters"`
 
-	PlainNsPerOp  float64 `json:"plain_ns_per_op"`
-	RobustNsPerOp float64 `json:"robust_ns_per_op"`
-	// OverheadPct is (robust - plain) / plain × 100; the ladder's target is
-	// staying under 2% when nothing fails.
-	OverheadPct float64 `json:"overhead_pct"`
+	// Bare is the plain estimator, managed the ladder.
+	Overhead
 }
 
 // RobustFaultCell records, for one armed fault schedule, which ladder tiers
@@ -74,7 +66,6 @@ type RobustBenchReport struct {
 	Seed      int64 `json:"seed"`
 	FactRows  int   `json:"fact_rows"`
 	Queries   int   `json:"queries_per_size"`
-	Iters     int   `json:"iters"`
 	PoolJoins int   `json:"pool_joins"`
 
 	Cells []RobustBenchCell `json:"cells"`
@@ -97,7 +88,6 @@ func (e *Env) RobustBench(cfg RobustBenchConfig) RobustBenchReport {
 		Seed:      e.Opts.Seed,
 		FactRows:  e.Opts.FactRows,
 		Queries:   cfg.Queries,
-		Iters:     cfg.Iters,
 		PoolJoins: cfg.PoolJoins,
 	}
 
@@ -119,63 +109,28 @@ func (e *Env) RobustBench(cfg RobustBenchConfig) RobustBenchReport {
 		pool := sit.BuildWorkloadPoolParallel(e.DB.Cat, queries, cfg.PoolJoins,
 			runtime.GOMAXPROCS(0), func(b *sit.Builder) { b.Buckets = e.Opts.Buckets })
 
-		cell := RobustBenchCell{N: n, Joins: joins, Filters: filters}
 		est := core.NewEstimator(e.DB.Cat, pool, core.Diff{})
 		lad := robust.New(est, robust.Config{})
-
-		// Answers must agree before anything is timed.
-		for _, q := range queries {
-			want := est.NewRun(q).GetSelectivity(q.All()).Sel
-			got, prov := lad.Selectivity(nil, q, q.All())
-			if got != want || prov.Tier != robust.TierFullDP {
-				panic(fmt.Sprintf("bench: un-armed ladder diverged (n=%d): %v vs %v, tier %v, reason %q",
-					n, got, want, prov.Tier, prov.FallbackReason))
+		plain := func(i int) float64 {
+			r := est.NewRun(queries[i])
+			sel := r.GetSelectivity(queries[i].All()).Sel
+			r.Release()
+			return sel
+		}
+		ladder := func(i int) float64 {
+			sel, prov := lad.Selectivity(nil, queries[i], queries[i].All())
+			if prov.Tier != robust.TierFullDP {
+				panic(fmt.Sprintf("bench: un-armed ladder degraded (n=%d): tier %v, reason %q",
+					n, prov.Tier, prov.FallbackReason))
 			}
+			return sel
 		}
-
-		// Each (query, variant) pair is timed individually every round and
-		// the per-query minimum across rounds is kept: a GC pause or
-		// scheduler hiccup then perturbs one sample of one query instead of
-		// biasing an entire variant's aggregate, so the overhead estimate
-		// converges with far fewer rounds on noisy hosts. The variant order
-		// flips every round — whichever runs second inherits warm CPU and
-		// histogram-join caches, and alternating gives both variants equal
-		// claim to the warm samples the minimum selects.
-		pmin := make([]float64, len(queries))
-		rmin := make([]float64, len(queries))
-		for i := range pmin {
-			pmin[i], rmin[i] = math.Inf(1), math.Inf(1)
+		ov, err := measureOverhead(len(queries), plain, ladder)
+		if err != nil {
+			panic(fmt.Sprintf("bench: un-armed ladder diverged (n=%d): %v", n, err))
 		}
-		timePlain := func(i int, q *engine.Query) {
-			start := time.Now()
-			est.NewRun(q).GetSelectivity(q.All())
-			pmin[i] = math.Min(pmin[i], float64(time.Since(start).Nanoseconds()))
-		}
-		timeRobust := func(i int, q *engine.Query) {
-			start := time.Now()
-			lad.Selectivity(nil, q, q.All())
-			rmin[i] = math.Min(rmin[i], float64(time.Since(start).Nanoseconds()))
-		}
-		for it := 0; it < cfg.Iters; it++ {
-			core.ResetHistJoinCache()
-			for i, q := range queries {
-				if it%2 == 0 {
-					timePlain(i, q)
-					timeRobust(i, q)
-				} else {
-					timeRobust(i, q)
-					timePlain(i, q)
-				}
-			}
-		}
-		for i := range pmin {
-			cell.PlainNsPerOp += pmin[i] / float64(len(queries))
-			cell.RobustNsPerOp += rmin[i] / float64(len(queries))
-		}
-		cell.OverheadPct = 100 * (cell.RobustNsPerOp - cell.PlainNsPerOp) / cell.PlainNsPerOp
-		if cell.OverheadPct > report.MaxOverheadPct {
-			report.MaxOverheadPct = cell.OverheadPct
-		}
+		cell := RobustBenchCell{N: n, Joins: joins, Filters: filters, Overhead: ov}
+		report.MaxOverheadPct = math.Max(report.MaxOverheadPct, ov.OverheadPct)
 		report.Cells = append(report.Cells, cell)
 	}
 
@@ -231,18 +186,12 @@ func WriteRobustJSON(w io.Writer, r RobustBenchReport) error {
 	return WriteReport(w, "robust", r.Seed, r)
 }
 
-// RenderRobust prints the report as a table.
+// RenderRobust prints one overhead line per size, then the fault section.
 func RenderRobust(w io.Writer, r RobustBenchReport) {
-	fmt.Fprintf(w, "degradation ladder — %d queries/size × %d iters, pool J%d (seed %d)\n\n",
-		r.Queries, r.Iters, r.PoolJoins, r.Seed)
-	fmt.Fprintf(w, "%4s %6s %8s %14s %14s %10s\n",
-		"n", "joins", "filters", "plain", "robust", "overhead")
+	fmt.Fprintf(w, "degradation ladder — %d queries/size, pool J%d (seed %d); bare = plain estimator, managed = ladder\n\n",
+		r.Queries, r.PoolJoins, r.Seed)
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%4d %6d %8d %14s %14s %9.2f%%\n",
-			c.N, c.Joins, c.Filters,
-			time.Duration(c.PlainNsPerOp).Round(time.Microsecond),
-			time.Duration(c.RobustNsPerOp).Round(time.Microsecond),
-			c.OverheadPct)
+		fmt.Fprintf(w, "n=%-3d joins %d filters %d  %v\n", c.N, c.Joins, c.Filters, c.Overhead)
 	}
 	fmt.Fprintf(w, "\nmax un-armed overhead: %.2f%%\n", r.MaxOverheadPct)
 	for _, fc := range r.Faulted {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"condsel/internal/core"
-	"condsel/internal/engine"
 	"condsel/internal/robust"
 	"condsel/internal/serve"
 )
@@ -32,7 +30,6 @@ type ServeBenchConfig struct {
 	TightDeadline  time.Duration // per-request deadline under overload (default 10ms)
 	SLOTarget      time.Duration // p99 target for the controller (default 50ms)
 	PoolJoins      int           // SIT pool J_i (default 2)
-	OverheadIters  int           // alternating-order rounds for the overhead figure (default 31)
 }
 
 func (c ServeBenchConfig) withDefaults() ServeBenchConfig {
@@ -59,9 +56,6 @@ func (c ServeBenchConfig) withDefaults() ServeBenchConfig {
 	}
 	if c.PoolJoins == 0 {
 		c.PoolJoins = 2
-	}
-	if c.OverheadIters <= 0 {
-		c.OverheadIters = 31
 	}
 	return c
 }
@@ -90,6 +84,11 @@ type ServePhaseStats struct {
 	// estimation, no HTTP framing) — the latency the SLO controller governs.
 	ServerP99Ms    float64 `json:"server_p99_ms"`
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
+	// OutsideP50Ms and OutsideP99Ms are percentiles over responses of the
+	// client latency minus the server's elapsed_ms: time spent outside the
+	// server's clock (HTTP, parse and encode, and waiting for a CPU).
+	OutsideP50Ms float64 `json:"outside_server_p50_ms"`
+	OutsideP99Ms float64 `json:"outside_server_p99_ms"`
 }
 
 // ServeBenchReport is the BENCH_serve.json payload.
@@ -105,11 +104,9 @@ type ServeBenchReport struct {
 	SLOReopenings  int64             `json:"slo_reopenings"`
 	DrainCompleted bool              `json:"drain_completed"`
 	// Un-armed service-layer overhead on the in-process path: EstimateQuery
-	// with free slots and a generous deadline versus the bare robust ladder,
-	// per-query minimum over alternating-order rounds.
-	BareNsPerOp    float64 `json:"bare_ns_per_op"`
-	ServiceNsPerOp float64 `json:"service_ns_per_op"`
-	OverheadPct    float64 `json:"overhead_pct"`
+	// (managed) with free slots and a generous deadline versus the bare
+	// robust ladder.
+	Overhead
 }
 
 // ServeBench provisions the environment's estimator behind a real serve
@@ -189,10 +186,7 @@ func (e *Env) ServeBench(cfg ServeBenchConfig) ServeBenchReport {
 
 	// --- Un-armed service-layer overhead --------------------------------
 	// A second, idle server measures what the front end costs when nothing
-	// degrades: free slots, 10s deadline, SLO disabled. Compared against the
-	// bare ladder by per-query minimum over alternating-order rounds (the
-	// RobustBench idiom: minima cancel scheduler noise, the order flip
-	// cancels cache warming bias).
+	// degrades: free slots, 10s deadline, SLO disabled.
 	idle, err := serve.New(serve.Config{
 		Catalog:         e.DB.Cat,
 		Estimator:       serve.LadderSource(func() *core.Estimator { return est }),
@@ -205,53 +199,22 @@ func (e *Env) ServeBench(cfg ServeBenchConfig) ServeBenchReport {
 	}
 	ladder := robust.New(est, robust.Config{})
 	const overheadDeadline = 10 * time.Second
-	bare := func(q *engine.Query) (float64, robust.Provenance) {
+	bare := func(i int) float64 {
 		// The same deadline context EstimateQuery installs, so the timed
 		// delta is the service layer alone (admission, mapping, SLO,
 		// metrics), not deadline enforcement — that cost exists in both.
 		ctx, cancel := context.WithTimeout(context.Background(), overheadDeadline)
 		defer cancel()
-		return ladder.Cardinality(ctx, q)
+		card, _ := ladder.Cardinality(ctx, queries[i])
+		return card
 	}
-	for _, q := range queries {
-		want, _ := bare(q)
-		got := idle.EstimateQuery(context.Background(), q, overheadDeadline, "estimate")
-		if got.Cardinality != want {
-			panic(fmt.Sprintf("bench: service-fronted estimate diverged: %v vs %v", got.Cardinality, want))
-		}
+	service := func(i int) float64 {
+		return idle.EstimateQuery(context.Background(), queries[i], overheadDeadline, "estimate").Cardinality
 	}
-	bmin := make([]float64, len(queries))
-	smin := make([]float64, len(queries))
-	for i := range bmin {
-		bmin[i], smin[i] = math.Inf(1), math.Inf(1)
+	report.Overhead, err = measureOverhead(len(queries), bare, service)
+	if err != nil {
+		panic(fmt.Sprintf("bench: service-fronted estimate diverged: %v", err))
 	}
-	timeBare := func(i int, q *engine.Query) {
-		start := time.Now()
-		bare(q)
-		bmin[i] = math.Min(bmin[i], float64(time.Since(start).Nanoseconds()))
-	}
-	timeService := func(i int, q *engine.Query) {
-		start := time.Now()
-		idle.EstimateQuery(context.Background(), q, overheadDeadline, "estimate")
-		smin[i] = math.Min(smin[i], float64(time.Since(start).Nanoseconds()))
-	}
-	for it := 0; it < cfg.OverheadIters; it++ {
-		core.ResetHistJoinCache()
-		for i, q := range queries {
-			if it%2 == 0 {
-				timeBare(i, q)
-				timeService(i, q)
-			} else {
-				timeService(i, q)
-				timeBare(i, q)
-			}
-		}
-	}
-	for i := range bmin {
-		report.BareNsPerOp += bmin[i] / float64(len(queries))
-		report.ServiceNsPerOp += smin[i] / float64(len(queries))
-	}
-	report.OverheadPct = 100 * (report.ServiceNsPerOp - report.BareNsPerOp) / report.BareNsPerOp
 	return report
 }
 
@@ -329,7 +292,7 @@ func runServePhase(name string, targets []string, clients int, duration, deadlin
 	}
 	wg.Wait()
 
-	var lats, serverLats, waits []float64
+	var lats, serverLats, waits, outside []float64
 	for _, s := range samples {
 		stats.Requests++
 		switch {
@@ -348,6 +311,7 @@ func runServePhase(name string, targets []string, clients int, duration, deadlin
 			lats = append(lats, s.latencyMs)
 			serverLats = append(serverLats, s.serverMs)
 			waits = append(waits, s.queueWaitMs)
+			outside = append(outside, s.latencyMs-s.serverMs)
 		case s.status == http.StatusBadRequest:
 			stats.BadRequest++
 		case s.status == http.StatusServiceUnavailable:
@@ -360,6 +324,8 @@ func runServePhase(name string, targets []string, clients int, duration, deadlin
 	stats.P99Ms = percentile(lats, 0.99)
 	stats.ServerP99Ms = percentile(serverLats, 0.99)
 	stats.QueueWaitP99Ms = percentile(waits, 0.99)
+	stats.OutsideP50Ms = percentile(outside, 0.50)
+	stats.OutsideP99Ms = percentile(outside, 0.99)
 	return stats
 }
 
@@ -379,15 +345,14 @@ func WriteServeJSON(w io.Writer, r ServeBenchReport) error {
 func RenderServe(w io.Writer, r ServeBenchReport) {
 	fmt.Fprintf(w, "Service-layer load arc — %d slots, queue %d, SLO p99 %.0fms (seed %d)\n\n",
 		r.Slots, r.Queue, r.SLOTargetMs, r.Seed)
-	fmt.Fprintf(w, "%-10s %8s %8s %6s %6s %6s %6s %10s %10s %10s  %s\n",
-		"phase", "clients", "reqs", "ok", "503", "5xx", "sheds", "p50 ms", "p99 ms", "srv p99", "tiers")
+	fmt.Fprintf(w, "%-10s %8s %8s %6s %6s %6s %6s %10s %10s %10s %10s %10s  %s\n",
+		"phase", "clients", "reqs", "ok", "503", "5xx", "sheds", "p50 ms", "p99 ms", "srv p99", "out p50", "out p99", "tiers")
 	for _, p := range r.Phases {
-		fmt.Fprintf(w, "%-10s %8d %8d %6d %6d %6d %6d %10.3f %10.3f %10.3f  %v\n",
+		fmt.Fprintf(w, "%-10s %8d %8d %6d %6d %6d %6d %10.3f %10.3f %10.3f %10.3f %10.3f  %v\n",
 			p.Phase, p.Clients, p.Requests, p.OK, p.Refused503, p.Errors5xx, p.Sheds,
-			p.P50Ms, p.P99Ms, p.ServerP99Ms, p.Tiers)
+			p.P50Ms, p.P99Ms, p.ServerP99Ms, p.OutsideP50Ms, p.OutsideP99Ms, p.Tiers)
 	}
 	fmt.Fprintf(w, "\nSLO controller: %d tightenings, %d reopenings; drain completed: %v\n",
 		r.SLOTightenings, r.SLOReopenings, r.DrainCompleted)
-	fmt.Fprintf(w, "un-armed service overhead: bare %.0f ns/op vs service %.0f ns/op (%.2f%%)\n",
-		r.BareNsPerOp, r.ServiceNsPerOp, r.OverheadPct)
+	fmt.Fprintf(w, "un-armed service overhead: %v\n", r.Overhead)
 }

@@ -222,7 +222,7 @@ func TestHealRereplicateBitIdentical(t *testing.T) {
 	// The cut-off peer rebuilds its shard from scratch: new epoch, same
 	// statistics content (a restart-shaped rebuild).
 	rebuilt.RebuildLocal(h.Ring.Shard(fx.pool, rebuilt.ID()))
-	if got := rebuilt.Stamp().Epoch; got != 2 {
+	if got := rebuilt.Stamp().Epoch.Count(); got != 2 {
 		t.Fatalf("rebuild epoch = %d, want 2", got)
 	}
 
@@ -238,7 +238,7 @@ func TestHealRereplicateBitIdentical(t *testing.T) {
 	if err := victim.Replicate(ctx, rebuilt.ID()); err != nil {
 		t.Fatalf("re-replication after heal: %v", err)
 	}
-	if got := victim.vec.Get(rebuilt.ID()).Epoch; got != 2 {
+	if got := victim.vec.Get(rebuilt.ID()).Epoch.Count(); got != 2 {
 		t.Fatalf("admitted epoch = %d, want 2 after rebuild", got)
 	}
 

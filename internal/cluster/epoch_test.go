@@ -61,14 +61,14 @@ func TestRebuildLocalPersistsEpochViaSink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	if got := n.Stamp().Epoch; got != 5 {
+	if got := n.Stamp().Epoch.Count(); got != 5 {
 		t.Fatalf("starting epoch = %d, want the configured 5", got)
 	}
 	n.RebuildLocal(fx.pool)
 	if len(sunk) != 1 || sunk[0] != 6 {
 		t.Fatalf("EpochSink observed %v, want [6]", sunk)
 	}
-	if got := n.Stamp().Epoch; got != 6 {
+	if got := n.Stamp().Epoch.Count(); got != 6 {
 		t.Fatalf("epoch after rebuild = %d, want 6", got)
 	}
 }
@@ -117,8 +117,8 @@ func TestRestartWithPersistedEpochReadmitted(t *testing.T) {
 		t.Fatalf("restarted node with persisted epoch fenced out: %v", err)
 	}
 	got := observer.vec.Get(restarting.ID())
-	if got.Epoch != Epoch(e2) {
-		t.Fatalf("admitted epoch %d after restart, want %d", got.Epoch, e2)
+	if got.Epoch != EpochOf(e2) {
+		t.Fatalf("admitted epoch %d after restart, want %d", got.Epoch.Count(), e2)
 	}
 	if !got.Newer(admitted) {
 		t.Fatalf("restarted stamp %s is not newer than pre-restart %s", got, admitted)

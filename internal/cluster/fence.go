@@ -18,8 +18,8 @@ import (
 // The ordering is lexicographic: epochs dominate generations, because
 // generations are only comparable within one epoch (a rebuilt pool restarts
 // content stamps from whatever the process counter says). All comparisons
-// go through Stamp.Newer — raw <  on Epoch values fences nothing and is
-// rejected by the sitlint clusterfence analyzer.
+// go through Stamp.Newer — raw < on epoch values fences nothing, so Epoch
+// is a struct that does not compile under < or an integer conversion.
 
 // NodeID names one cluster member. IDs are compared as opaque strings and
 // hashed onto the ring; they must be unique and stable across restarts.
@@ -28,16 +28,23 @@ type NodeID string
 // Epoch counts full local rebuilds of a node's shard. It must be strictly
 // increasing across restarts too — generations reset with the process, so
 // a reused epoch strands the node behind the fence; EpochFile persists it
-// as a durable restart counter. Compare epochs only
-// through Stamp.Newer (enforced by sitlint's clusterfence analyzer): a raw
-// comparison ignores the generation half and silently accepts replays.
-type Epoch uint64
+// as a durable restart counter. Epochs are ordered only by Stamp.Newer: a
+// raw comparison ignores the generation half and silently accepts replays,
+// so the counter is unexported and == is the only operator that compiles.
+type Epoch struct{ n uint64 }
+
+// EpochOf returns the epoch with rebuild count n.
+func EpochOf(n uint64) Epoch { return Epoch{n} }
+
+// Count returns the epoch's rebuild count, for the wire codec, logs and
+// reports. Order stamps with Stamp.Newer, not by comparing counts.
+func (e Epoch) Count() uint64 { return e.n }
 
 // Stamp is the fencing token a node attaches to every frame it ships: its
 // current epoch and the shard pool's content generation within it.
 type Stamp struct {
-	Epoch Epoch  `json:"epoch"`
-	Gen   uint64 `json:"gen"`
+	Epoch Epoch
+	Gen   uint64
 }
 
 // Newer reports whether s is strictly newer than o in fencing order:
@@ -47,7 +54,7 @@ type Stamp struct {
 // comparison in the module.
 func (s Stamp) Newer(o Stamp) bool {
 	if s.Epoch != o.Epoch {
-		return s.Epoch > o.Epoch
+		return s.Epoch.n > o.Epoch.n
 	}
 	return s.Gen > o.Gen
 }
@@ -56,7 +63,7 @@ func (s Stamp) Newer(o Stamp) bool {
 func (s Stamp) IsZero() bool { return s == Stamp{} }
 
 // String renders the stamp as e<epoch>/g<gen> for provenance and logs.
-func (s Stamp) String() string { return fmt.Sprintf("e%d/g%d", uint64(s.Epoch), s.Gen) }
+func (s Stamp) String() string { return fmt.Sprintf("e%d/g%d", s.Epoch.n, s.Gen) }
 
 // GenVector is the cluster-wide generation vector: the newest admitted
 // stamp per peer. It is the fence — Admit refuses anything not strictly

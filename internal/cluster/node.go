@@ -246,7 +246,7 @@ func (n *Node) Ring() *Ring { return n.ring }
 func (n *Node) Stamp() Stamp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return Stamp{Epoch: Epoch(n.epoch.Load()), Gen: n.local.Generation()}
+	return Stamp{Epoch: EpochOf(n.epoch.Load()), Gen: n.local.Generation()}
 }
 
 // MergedGeneration returns the content generation of the merged pool the
@@ -263,7 +263,7 @@ func (n *Node) MergedPool() *sit.Pool { return n.cur.Load().pool }
 func (n *Node) ShardFrame() (*Frame, error) {
 	n.mu.Lock()
 	local := n.local
-	stamp := Stamp{Epoch: Epoch(n.epoch.Load()), Gen: local.Generation()}
+	stamp := Stamp{Epoch: EpochOf(n.epoch.Load()), Gen: local.Generation()}
 	n.mu.Unlock()
 	var buf payloadBuffer
 	if err := local.Encode(&buf); err != nil {

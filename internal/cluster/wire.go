@@ -66,7 +66,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	bw.WriteString(wireMagic)
 	bw.WriteByte(wireVersion)
 	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(f.Stamp.Epoch))
+	binary.BigEndian.PutUint64(hdr[:], f.Stamp.Epoch.Count())
 	bw.Write(hdr[:])
 	binary.BigEndian.PutUint64(hdr[:], f.Stamp.Gen)
 	bw.Write(hdr[:])
@@ -119,7 +119,7 @@ func ReadFrameLimit(r io.Reader, maxPayload int) (*Frame, error) {
 		return nil, fmt.Errorf("cluster: unsupported frame version %d", fixed[4])
 	}
 	stamp := Stamp{
-		Epoch: Epoch(binary.BigEndian.Uint64(fixed[5:13])),
+		Epoch: EpochOf(binary.BigEndian.Uint64(fixed[5:13])),
 		Gen:   binary.BigEndian.Uint64(fixed[13:21]),
 	}
 	nodeLen := int(binary.BigEndian.Uint16(fixed[21:23]))

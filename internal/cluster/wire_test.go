@@ -18,7 +18,7 @@ func mustFrameBytes(t testing.TB, f *Frame) []byte {
 // TestWireRoundTrip: encode → decode returns the identical frame, and the
 // canonical encoding is stable.
 func TestWireRoundTrip(t *testing.T) {
-	f := &Frame{Node: "node-1", Stamp: Stamp{Epoch: 3, Gen: 42}, Payload: []byte(`{"version":1}`)}
+	f := &Frame{Node: "node-1", Stamp: Stamp{Epoch: EpochOf(3), Gen: 42}, Payload: []byte(`{"version":1}`)}
 	wire := mustFrameBytes(t, f)
 	got, err := ReadFrame(bytes.NewReader(wire))
 	if err != nil {
@@ -35,7 +35,7 @@ func TestWireRoundTrip(t *testing.T) {
 // TestWireRejectsTruncation: the decoder errors (never panics, never
 // accepts) at every possible truncation point.
 func TestWireRejectsTruncation(t *testing.T) {
-	wire := mustFrameBytes(t, &Frame{Node: "n", Stamp: Stamp{1, 1}, Payload: []byte("payload-bytes")})
+	wire := mustFrameBytes(t, &Frame{Node: "n", Stamp: Stamp{EpochOf(1), 1}, Payload: []byte("payload-bytes")})
 	for cut := 0; cut < len(wire); cut++ {
 		if _, err := ReadFrame(bytes.NewReader(wire[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(wire))
@@ -49,7 +49,7 @@ func TestWireRejectsTruncation(t *testing.T) {
 // fenced by the generation vector, not the codec — so those offsets are
 // skipped.)
 func TestWireRejectsCorruption(t *testing.T) {
-	f := &Frame{Node: "node-2", Stamp: Stamp{Epoch: 7, Gen: 9}, Payload: []byte(`{"version":1,"sits":[]}`)}
+	f := &Frame{Node: "node-2", Stamp: Stamp{Epoch: EpochOf(7), Gen: 9}, Payload: []byte(`{"version":1,"sits":[]}`)}
 	wire := mustFrameBytes(t, f)
 	const stampStart, stampEnd = 5, 21 // epoch+gen field region
 	for i := 0; i < len(wire); i++ {
@@ -74,7 +74,7 @@ func TestWireRejectsCorruption(t *testing.T) {
 // TestWireRejectsOversizedLengths: length fields past the caps are refused
 // before any allocation of that size.
 func TestWireRejectsOversizedLengths(t *testing.T) {
-	wire := mustFrameBytes(t, &Frame{Node: "n", Stamp: Stamp{1, 1}, Payload: []byte("x")})
+	wire := mustFrameBytes(t, &Frame{Node: "n", Stamp: Stamp{EpochOf(1), 1}, Payload: []byte("x")})
 	// Node-id length field sits at offset 21.
 	mut := append([]byte(nil), wire...)
 	binary.BigEndian.PutUint16(mut[21:23], MaxNodeIDLen+1)
@@ -93,11 +93,11 @@ func TestWireRejectsOversizedLengths(t *testing.T) {
 // declared length before any payload allocation, admits frames at or under
 // it, and clamps to MaxFramePayload rather than widening past it.
 func TestReadFrameLimit(t *testing.T) {
-	empty := mustFrameBytes(t, &Frame{Node: "node-1", Stamp: Stamp{1, 1}})
+	empty := mustFrameBytes(t, &Frame{Node: "node-1", Stamp: Stamp{EpochOf(1), 1}})
 	if _, err := ReadFrameLimit(bytes.NewReader(empty), 0); err != nil {
 		t.Fatalf("empty-payload frame refused under cap 0: %v", err)
 	}
-	loaded := mustFrameBytes(t, &Frame{Node: "node-1", Stamp: Stamp{1, 1}, Payload: []byte("shard-bytes")})
+	loaded := mustFrameBytes(t, &Frame{Node: "node-1", Stamp: Stamp{EpochOf(1), 1}, Payload: []byte("shard-bytes")})
 	if _, err := ReadFrameLimit(bytes.NewReader(loaded), 0); err == nil {
 		t.Fatal("cap-0 read accepted a frame with a payload")
 	}
@@ -131,7 +131,7 @@ func FuzzSnapshotWire(f *testing.F) {
 		}
 		return b
 	}
-	full := valid("node-0", Stamp{Epoch: 2, Gen: 17}, []byte(`{"version":1,"sits":[{"attr":"t.a"}]}`))
+	full := valid("node-0", Stamp{Epoch: EpochOf(2), Gen: 17}, []byte(`{"version":1,"sits":[{"attr":"t.a"}]}`))
 	f.Add(full)
 	f.Add(valid("n", Stamp{}, nil))
 	f.Add(full[:len(full)/2]) // torn stream

@@ -55,20 +55,7 @@ func newReuseCase() *reuseCase {
 		noSIT, engine.Filter(attr(7, 2), 2, 9), selfJoin, join(2),
 	})
 	queries := []*engine.Query{q10a, q6, q10b}
-	// The pool is built without the self-join (the evaluator cannot
-	// materialize a SIT expression holding one), so it stays a predicate
-	// no statistic's expression covers.
-	var training []*engine.Query
-	for _, q := range queries {
-		var preds []engine.Pred
-		for _, p := range q.Preds {
-			if p != selfJoin {
-				preds = append(preds, p)
-			}
-		}
-		training = append(training, engine.NewQuery(cat, preds))
-	}
-	pool := sit.BuildWorkloadPool(sit.NewBuilder(cat), training, 2).
+	pool := sit.BuildWorkloadPool(sit.NewBuilder(cat), queries, 2).
 		Filter(func(s *sit.SIT) bool { return s.Attr != noSIT.Attr })
 	return &reuseCase{cat: cat, pool: pool, queries: queries}
 }

@@ -176,10 +176,11 @@ func (e *Evaluator) evalComponent(preds []Pred, comp PredSet) *joinResult {
 		if p.IsJoin() && !p.SelfJoin(c) {
 			joins = append(joins, p)
 		} else {
-			t := c.AttrTable(p.Attr)
+			attr := p.Attr // NoAttr for a self-join: its table is Left's
 			if p.IsJoin() {
-				t = c.AttrTable(p.Left)
+				attr = p.Left
 			}
+			t := c.AttrTable(attr)
 			tableFilters[t] = append(tableFilters[t], p)
 		}
 	}

@@ -298,3 +298,41 @@ func TestCyclicJoinGraph(t *testing.T) {
 		t.Fatalf("sanity: brute force = %v, want 2", want)
 	}
 }
+
+// TestSelfJoinCount: a self-join is counted as a per-row filter on its
+// table, alone against a direct scan of the two columns, and beside a
+// filter and a join against the brute force.
+func TestSelfJoinCount(t *testing.T) {
+	t.Parallel()
+	c := NewCatalog()
+	c.MustAddTable(&Table{Name: "R", Cols: []*Column{
+		{Name: "a", Vals: []int64{1, 2, 3, 4, 5, 6}},
+		{Name: "b", Vals: []int64{1, 0, 3, 4, 0, 6}, Null: []bool{false, false, false, true, false, false}},
+	}})
+	c.MustAddTable(twoColTable("S", []int64{1, 3, 3}, []int64{0, 0, 0}))
+	ra, rb, sa := c.MustAttr("R.a"), c.MustAttr("R.b"), c.MustAttr("S.a")
+	self := Join(ra, rb)
+	if !self.SelfJoin(c) {
+		t.Fatal("sanity: R.a = R.b is not a self-join")
+	}
+
+	colA, colB := c.AttrColumn(ra), c.AttrColumn(rb)
+	scan := 0
+	for i := range colA.Vals {
+		if !colA.IsNull(i) && !colB.IsNull(i) && colA.Vals[i] == colB.Vals[i] {
+			scan++
+		}
+	}
+	ev := NewEvaluator(c)
+	if got := ev.Count(NewTableSet(0), []Pred{self}, NewPredSet(0)); got != float64(scan) || scan != 3 {
+		t.Fatalf("self-join count = %v, direct scan = %d (want 3)", got, scan)
+	}
+
+	preds := []Pred{self, Filter(ra, 2, 6), Join(ra, sa)}
+	for set := PredSet(1); set <= FullPredSet(len(preds)); set++ {
+		tables := PredsTables(c, preds, set)
+		if got, want := ev.Count(tables, preds, set), bruteCount(c, tables, preds, set); got != want {
+			t.Fatalf("set %v: Count = %v, brute force = %v", set, got, want)
+		}
+	}
+}
