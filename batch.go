@@ -2,12 +2,10 @@ package condsel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"condsel/internal/core"
-	"condsel/internal/robust"
 )
 
 // SelCache is a sharded, bounded, concurrency-safe cache of getSelectivity
@@ -86,79 +84,16 @@ func (e *Estimator) UseCache(c *SelCache) *Estimator {
 // Cache returns the attached cross-query cache, or nil.
 func (e *Estimator) Cache() *SelCache { return e.cache }
 
-// CardinalityBatch estimates every query's result size using a pool of
-// worker goroutines (sequential when workers <= 1), returning one
-// cardinality per query in input order. The estimator is shared by all
-// workers — it is safe for concurrent use — so an attached SelCache lets
-// queries with common sub-expressions reuse each other's decompositions.
-// Results are identical to calling Cardinality on each query in sequence.
-//
-// Unlike a sequential loop, queries are isolated: a failure estimating one
-// query (a panic, corrupt statistics) degrades that query's estimate through
-// the ladder instead of unwinding the whole batch. Use
-// CardinalityBatchRobust to observe per-query provenance and errors.
-func (e *Estimator) CardinalityBatch(queries []*Query, workers int) []float64 {
-	// Unlimited node budget and no deadline: healthy queries take the full-
-	// DP tier, which is bit-identical to Cardinality.
-	results := e.cardinalityBatch(nil, robust.Config{NodeBudget: -1}, queries, workers)
-	out := make([]float64, len(results))
-	for i, r := range results {
-		out[i] = r.Cardinality
-	}
-	return out
-}
-
-// BatchResult is one query's outcome within a robust batch estimation.
-type BatchResult struct {
-	// Cardinality is the estimate — always finite and ≥ 0, even when Err is
-	// set (the ladder's floor still answers).
-	Cardinality float64
-	// Provenance reports the ladder tier that produced the estimate.
-	Provenance Provenance
-	// Err is non-nil when estimation failed outright for this query (e.g. a
-	// panic escaping every ladder tier); other queries are unaffected.
-	Err error
-}
-
-// CardinalityBatchRobust estimates every query fault-tolerantly (see
-// CardinalityRobust) over a worker pool, returning per-query estimates with
-// provenance and isolation: one query's failure — however severe — is
-// confined to its own BatchResult. The context's deadline applies to each
-// query's expensive tiers.
-func (e *Estimator) CardinalityBatchRobust(ctx context.Context, queries []*Query, workers int) []BatchResult {
-	return e.cardinalityBatch(ctx, robust.Config{}, queries, workers)
-}
-
-func (e *Estimator) cardinalityBatch(ctx context.Context, cfg robust.Config, queries []*Query, workers int) []BatchResult {
-	lad := robust.New(e.est, cfg)
-	out := make([]BatchResult, len(queries))
-	fanOut(len(queries), workers, func(i int) { out[i] = robustOne(ctx, lad, queries[i]) })
-	return out
-}
-
-// robustOne estimates a single batch entry with last-line panic isolation on
-// top of the ladder's own guards, so a worker goroutine can never die and
-// take the batch (and process) with it.
-func robustOne(ctx context.Context, lad *robust.Estimator, q *Query) (res BatchResult) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			reason := fmt.Sprintf("panic: %v", rec)
-			res.Provenance.FallbackReason = reason
-			res.Err = errors.New("condsel: estimation failed: " + reason)
-		}
-	}()
-	if q == nil {
-		res.Err = errors.New("condsel: nil query in batch")
-		return res
-	}
-	res.Cardinality, res.Provenance = lad.Cardinality(ctx, q.q)
-	return res
-}
-
-// SelectivityBatch is CardinalityBatch for selectivities.
-func (e *Estimator) SelectivityBatch(queries []*Query, workers int) []float64 {
-	out := make([]float64, len(queries))
-	fanOut(len(queries), workers, func(i int) { out[i] = e.Selectivity(queries[i]) })
+// EstimateBatch runs Estimate over the queries on a pool of worker
+// goroutines (sequential when workers <= 1) and returns the answers in input
+// order. The estimator is shared by all workers — it is safe for concurrent
+// use — so an attached SelCache lets queries with common sub-expressions
+// reuse each other's decompositions. Each answer equals what Estimate
+// returns for that query alone, failures included: one query's failure is
+// confined to its own Answer.
+func (e *Estimator) EstimateBatch(ctx context.Context, queries []*Query, workers int) []Answer {
+	out := make([]Answer, len(queries))
+	fanOut(len(queries), workers, func(i int) { out[i] = e.Estimate(ctx, queries[i]) })
 	return out
 }
 

@@ -11,6 +11,7 @@ package condsel_test
 // by cmd/sitbench and recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -245,9 +246,10 @@ func BenchmarkPublicAPI(b *testing.B) {
 		MustBuild()
 	pool := db.BuildStatistics([]*condsel.Query{q}, 2, nil)
 	est := db.NewEstimator(pool, condsel.Diff)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.Cardinality(q)
+		est.Estimate(ctx, q)
 	}
 }
 

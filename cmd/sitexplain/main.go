@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -64,15 +65,16 @@ func main() {
 	fmt.Printf("statistics: %d in pool J%d (%d base histograms)\n\n",
 		stats.Size(), *pool, noSit.Size())
 
+	ctx := context.Background()
 	truth := db.ExactCardinality(q)
 	fmt.Printf("%-28s %14.0f\n", "true cardinality", truth)
 	fmt.Printf("%-28s %14.0f\n", "noSit (independence)",
-		db.NewEstimator(noSit, condsel.NInd).Cardinality(q))
+		db.NewEstimator(noSit, condsel.NInd).Estimate(ctx, q).Cardinality)
 	fmt.Printf("%-28s %14.0f\n", "GVM (greedy view matching)",
 		db.NewGVMEstimator(stats).Cardinality(q))
 	for _, m := range []condsel.Model{condsel.NInd, condsel.Diff, condsel.Opt} {
 		fmt.Printf("%-28s %14.0f\n", "getSelectivity / "+m.String(),
-			db.NewEstimator(stats, m).Cardinality(q))
+			db.NewEstimator(stats, m).Estimate(ctx, q).Cardinality)
 	}
 
 	fmt.Println("\nchosen decomposition (Diff):")

@@ -10,6 +10,7 @@ package condsel_test
 // on failure so runs reproduce exactly.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -80,10 +81,7 @@ func TestEstimatorConcurrentStress(t *testing.T) {
 				est.UseCache(tc.cache)
 			}
 			// Sequential baseline from an independent, cache-less estimator.
-			baseline := make([]float64, len(w.queries))
-			for i, q := range w.queries {
-				baseline[i] = w.db.NewEstimator(w.pool, tc.model).Cardinality(q)
-			}
+			baseline := w.db.NewEstimator(w.pool, tc.model).EstimateBatch(context.Background(), w.queries, 1)
 
 			const goroutines = 16
 			const rounds = 3
@@ -99,7 +97,7 @@ func TestEstimatorConcurrentStress(t *testing.T) {
 						rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 						for _, qi := range order {
 							q := w.queries[qi]
-							if got := est.Cardinality(q); got != baseline[qi] {
+							if got := est.Estimate(context.Background(), q); got != baseline[qi] {
 								errCh <- q.String()
 								return
 							}
@@ -140,10 +138,7 @@ func TestOptModelConcurrentStress(t *testing.T) {
 	w := buildStressWorld(t, 600, 6)
 	est := w.db.NewEstimator(w.pool, condsel.Opt).UseCache(condsel.NewSelCache(1024))
 
-	baseline := make([]float64, len(w.queries))
-	for i, q := range w.queries {
-		baseline[i] = w.db.NewEstimator(w.pool, condsel.Opt).Cardinality(q)
-	}
+	baseline := w.db.NewEstimator(w.pool, condsel.Opt).EstimateBatch(context.Background(), w.queries, 1)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -153,7 +148,7 @@ func TestOptModelConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(stressSeed + 100 + int64(g)))
 			for _, qi := range rng.Perm(len(w.queries)) {
-				if got := est.Cardinality(w.queries[qi]); got != baseline[qi] {
+				if got := est.Estimate(context.Background(), w.queries[qi]); got != baseline[qi] {
 					t.Errorf("seed %d: Opt concurrent estimate %v != baseline %v for %s",
 						stressSeed, got, baseline[qi], w.queries[qi])
 					return
@@ -168,7 +163,8 @@ func TestOptModelConcurrentStress(t *testing.T) {
 // generated snowflake workload, estimates with the cross-query cache
 // enabled are bit-identical to estimates with it disabled, under NInd, Diff
 // and Opt — on a cold cache, on a warm cache, and across estimators sharing
-// one cache.
+// one cache. With and without the cache, every Estimate is also the full
+// DP's answer, bit-identical to a per-query Run.
 func TestCacheEquivalenceAllModels(t *testing.T) {
 	t.Parallel()
 	logSeedOnFailure(t, stressSeed)
@@ -183,18 +179,15 @@ func TestCacheEquivalenceAllModels(t *testing.T) {
 
 			for pass := 0; pass < 2; pass++ { // pass 1 runs against a warm cache
 				for qi, q := range w.queries {
-					want := plain.Cardinality(q)
-					if got := cached.Cardinality(q); got != want {
-						t.Fatalf("seed %d pass %d query %d: cached %v != plain %v\n%s",
+					want := plain.Estimate(context.Background(), q)
+					if got := cached.Estimate(context.Background(), q); got != want {
+						t.Fatalf("seed %d pass %d query %d: cached %+v != plain %+v\n%s",
 							stressSeed, pass, qi, got, want, q)
-					}
-					wantSel := plain.Selectivity(q)
-					if gotSel := cached.Selectivity(q); gotSel != wantSel {
-						t.Fatalf("seed %d pass %d query %d: cached sel %v != plain %v",
-							stressSeed, pass, qi, gotSel, wantSel)
 					}
 				}
 			}
+			checkEstimateMatchesRun(t, plain, w.queries)
+			checkEstimateMatchesRun(t, cached, w.queries)
 			st := cache.Stats()
 			if st.Hits == 0 {
 				t.Fatalf("seed %d: warm pass produced no cache hits: %+v", stressSeed, st)
@@ -203,7 +196,7 @@ func TestCacheEquivalenceAllModels(t *testing.T) {
 			// A second estimator sharing the cache must also agree.
 			shared := w.db.NewEstimator(w.pool, model).UseCache(cache)
 			for qi, q := range w.queries {
-				if got, want := shared.Cardinality(q), plain.Cardinality(q); got != want {
+				if got, want := shared.Estimate(context.Background(), q), plain.Estimate(context.Background(), q); got != want {
 					t.Fatalf("seed %d query %d: shared-cache estimator %v != plain %v",
 						stressSeed, qi, got, want)
 				}
@@ -231,45 +224,37 @@ func TestCacheExplainEquivalence(t *testing.T) {
 	}
 }
 
-// TestCardinalityBatchMatchesSequential: the worker-pool fan-out returns
-// exactly what per-query sequential calls return, in input order, with and
-// without the cache, for several worker counts.
-func TestCardinalityBatchMatchesSequential(t *testing.T) {
+// TestEstimateBatchMatchesSequential: the worker-pool fan-out returns
+// exactly what per-query sequential Estimate calls return, in input order,
+// with and without the cache, for several worker counts.
+func TestEstimateBatchMatchesSequential(t *testing.T) {
 	t.Parallel()
 	logSeedOnFailure(t, stressSeed)
 	w := buildStressWorld(t, 2000, 12)
 	est := w.db.NewEstimator(w.pool, condsel.Diff)
-	want := make([]float64, len(w.queries))
+	want := make([]condsel.Answer, len(w.queries))
 	for i, q := range w.queries {
-		want[i] = est.Cardinality(q)
-	}
-	for _, workers := range []int{0, 1, 4, 8, 16, 64} {
-		got := est.CardinalityBatch(w.queries, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: workers=%d query %d: batch %v != sequential %v",
-					stressSeed, workers, i, got[i], want[i])
-			}
-		}
+		want[i] = est.Estimate(context.Background(), q)
 	}
 	cachedEst := w.db.NewEstimator(w.pool, condsel.Diff).UseCache(condsel.NewSelCache(4096))
-	for _, workers := range []int{1, 8} {
-		got := cachedEst.CardinalityBatch(w.queries, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: cached workers=%d query %d: batch %v != sequential %v",
-					stressSeed, workers, i, got[i], want[i])
+	for _, tc := range []struct {
+		est     *condsel.Estimator
+		workers []int
+	}{
+		{est, []int{0, 1, 4, 8, 16, 64}},
+		{cachedEst, []int{1, 8}},
+	} {
+		for _, workers := range tc.workers {
+			got := tc.est.EstimateBatch(context.Background(), w.queries, workers)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: cached=%v workers=%d query %d: batch %+v != sequential %+v",
+						stressSeed, tc.est.Cache() != nil, workers, i, got[i], want[i])
+				}
 			}
 		}
 	}
-	if got := est.CardinalityBatch(nil, 8); len(got) != 0 {
+	if got := est.EstimateBatch(context.Background(), nil, 8); len(got) != 0 {
 		t.Fatalf("empty batch returned %v", got)
-	}
-	// SelectivityBatch shares the fan-out; spot-check it too.
-	sels := est.SelectivityBatch(w.queries, 8)
-	for i, q := range w.queries {
-		if sels[i] != est.Selectivity(q) {
-			t.Fatalf("seed %d: selectivity batch mismatch at %d", stressSeed, i)
-		}
 	}
 }

@@ -20,7 +20,8 @@
 //		Build()
 //	pool := db.BuildStatistics([]*condsel.Query{q}, 2, nil) // SITs over ≤2-join expressions
 //	est := db.NewEstimator(pool, condsel.Diff)
-//	fmt.Println(est.Cardinality(q), db.ExactCardinality(q))
+//	ans := est.Estimate(context.Background(), q) // cardinality, selectivity, provenance
+//	fmt.Println(ans.Cardinality, ans.Provenance.Tier, db.ExactCardinality(q))
 //
 // The top-level types wrap the internal engine (columnar storage and exact
 // evaluation), histogram, SIT, and search packages; see DESIGN.md for the

@@ -2,6 +2,7 @@ package condsel_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -109,8 +110,8 @@ func TestEndToEndEstimation(t *testing.T) {
 	}
 	noSit := db.BuildStatistics([]*condsel.Query{q}, 0, nil)
 
-	errWith := math.Abs(db.NewEstimator(pool, condsel.Diff).Cardinality(q) - truth)
-	errBase := math.Abs(db.NewEstimator(noSit, condsel.Diff).Cardinality(q) - truth)
+	errWith := math.Abs(db.NewEstimator(pool, condsel.Diff).Estimate(context.Background(), q).Cardinality - truth)
+	errBase := math.Abs(db.NewEstimator(noSit, condsel.Diff).Estimate(context.Background(), q).Cardinality - truth)
 	if errWith >= errBase {
 		t.Fatalf("SITs should improve the §1 scenario: with %v vs base %v (truth %v)",
 			errWith, errBase, truth)
@@ -216,12 +217,11 @@ func TestModelsAndGVM(t *testing.T) {
 	}
 
 	for _, m := range []condsel.Model{condsel.NInd, condsel.Diff, condsel.Opt} {
-		est := db.NewEstimator(pool, m)
-		card := est.Cardinality(q)
-		if card < 0 || math.IsNaN(card) {
+		ans := db.NewEstimator(pool, m).Estimate(context.Background(), q)
+		if card := ans.Cardinality; card < 0 || math.IsNaN(card) {
 			t.Fatalf("model %v: bad cardinality %v", m, card)
 		}
-		if sel := est.Selectivity(q); sel < 0 || sel > 1 {
+		if sel := ans.Selectivity; sel < 0 || sel > 1 {
 			t.Fatalf("model %v: bad selectivity %v", m, sel)
 		}
 	}
@@ -296,7 +296,7 @@ func TestViewMatchCounter(t *testing.T) {
 		MustBuild()
 	pool := db.BuildStatistics([]*condsel.Query{q}, 1, nil)
 	pool.ResetViewMatchCalls()
-	db.NewEstimator(pool, condsel.NInd).Cardinality(q)
+	db.NewEstimator(pool, condsel.NInd).Estimate(context.Background(), q)
 	if pool.ViewMatchCalls() == 0 {
 		t.Fatalf("view-matching calls not counted")
 	}
@@ -317,7 +317,7 @@ func TestStatsOptions(t *testing.T) {
 		pool := db.BuildStatistics([]*condsel.Query{q}, 1,
 			&condsel.StatsOptions{Buckets: 50, Kind: kind, ExactDiff: kind == condsel.MaxDiff})
 		est := db.NewEstimator(pool, condsel.Diff)
-		if card := est.Cardinality(q); card < 0 || math.IsNaN(card) {
+		if card := est.Estimate(context.Background(), q).Cardinality; card < 0 || math.IsNaN(card) {
 			t.Fatalf("kind %v: bad cardinality %v", kind, card)
 		}
 	}
@@ -397,8 +397,8 @@ func TestPoolSaveLoad(t *testing.T) {
 	if loaded.Size() != pool.Size() {
 		t.Fatalf("size %d after reload, want %d", loaded.Size(), pool.Size())
 	}
-	a := db.NewEstimator(pool, condsel.Diff).Cardinality(q)
-	b := db.NewEstimator(loaded, condsel.Diff).Cardinality(q)
+	a := db.NewEstimator(pool, condsel.Diff).Estimate(context.Background(), q).Cardinality
+	b := db.NewEstimator(loaded, condsel.Diff).Estimate(context.Background(), q).Cardinality
 	if a != b {
 		t.Fatalf("estimates differ after reload: %v vs %v", a, b)
 	}
@@ -427,8 +427,8 @@ func TestTwoDimStatistics(t *testing.T) {
 	}
 	plain := db.BuildStatistics([]*condsel.Query{q}, 0, nil)
 
-	errDerived := math.Abs(db.NewEstimator(pool, condsel.Diff).Cardinality(q) - truth)
-	errPlain := math.Abs(db.NewEstimator(plain, condsel.Diff).Cardinality(q) - truth)
+	errDerived := math.Abs(db.NewEstimator(pool, condsel.Diff).Estimate(context.Background(), q).Cardinality - truth)
+	errPlain := math.Abs(db.NewEstimator(plain, condsel.Diff).Estimate(context.Background(), q).Cardinality - truth)
 	if errDerived >= errPlain {
 		t.Fatalf("2-D derivation (%v) should beat independence (%v), truth %v",
 			errDerived, errPlain, truth)
@@ -491,8 +491,8 @@ func TestParallelStatisticsBuild(t *testing.T) {
 	if seq.Size() != par.Size() {
 		t.Fatalf("parallel pool size %d, sequential %d", par.Size(), seq.Size())
 	}
-	a := db.NewEstimator(seq, condsel.Diff).Cardinality(q)
-	b := db.NewEstimator(par, condsel.Diff).Cardinality(q)
+	a := db.NewEstimator(seq, condsel.Diff).Estimate(context.Background(), q).Cardinality
+	b := db.NewEstimator(par, condsel.Diff).Estimate(context.Background(), q).Cardinality
 	if a != b {
 		t.Fatalf("estimates differ: %v vs %v", a, b)
 	}

@@ -1,6 +1,8 @@
 package condsel
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"condsel/internal/cascades"
@@ -8,6 +10,7 @@ import (
 	"condsel/internal/engine"
 	"condsel/internal/gvm"
 	"condsel/internal/planner"
+	"condsel/internal/robust"
 )
 
 // Model selects the error model ranking candidate decompositions.
@@ -62,21 +65,69 @@ func (db *DB) NewEstimator(pool *Pool, model Model) *Estimator {
 	return &Estimator{db: db, est: est}
 }
 
-// Cardinality estimates the query's result size.
-func (e *Estimator) Cardinality(q *Query) float64 {
-	r := e.est.NewRun(q.q)
-	card := r.EstimateCardinality(q.q.All())
-	r.Release()
-	return card
+// Tier identifies which rung of the degradation ladder answered, in
+// descending fidelity order.
+type Tier = robust.Tier
+
+// The ladder's tiers: the full getSelectivity DP, its greedy-chain
+// restriction, greedy view matching, and base-histogram independence.
+const (
+	TierFullDP     = robust.TierFullDP
+	TierBudgetedDP = robust.TierBudgetedDP
+	TierGVM        = robust.TierGVM
+	TierNoSIT      = robust.TierNoSIT
+)
+
+// Provenance records how an answer was produced: the tier that answered,
+// and — when it was not the full DP — why each higher tier fell through.
+type Provenance = robust.Provenance
+
+// Answer is one query's estimate and its provenance.
+type Answer struct {
+	// Cardinality is the estimated result size, always finite and ≥ 0 (0
+	// when Err is set).
+	Cardinality float64
+	// Selectivity is relative to the cartesian product of the query's
+	// tables, always finite and in [0,1] (0 when Err is set).
+	Selectivity float64
+	// Provenance reports the ladder tier that answered and why the tiers
+	// above it fell through.
+	Provenance Provenance
+	// Err is non-nil when estimation failed outright: a nil query, or a
+	// panic that escaped every tier (its reason is also in
+	// Provenance.FallbackReason).
+	Err error
 }
 
-// Selectivity estimates the query's selectivity relative to the cartesian
-// product of its tables.
-func (e *Estimator) Selectivity(q *Query) float64 {
-	r := e.est.NewRun(q.q)
-	sel := r.GetSelectivity(q.q.All()).Sel
-	r.Release()
-	return sel
+// Estimate answers the query through the degradation ladder: the full
+// getSelectivity DP, then its greedy-chain restriction, greedy view
+// matching and base-histogram independence, each tried only when the one
+// above it aborts, panics or leaves [0,1]. On healthy statistics the full
+// DP answers, bit-identically to a Run over the same query, and the
+// provenance is TierFullDP with an empty FallbackReason.
+//
+// The context's deadline and cancellation bound the work. Unlike the served
+// ladder, which caps the full DP at 200,000 memo misses, Estimate sets no
+// node budget. That cap counts one miss per predicate subset, so it can only
+// bind at 18 or more predicates: 17 predicates have at most 2^17 = 131,072
+// subsets. No workload in this repository reaches 18.
+//
+// Failures stay inside the Answer: a nil query or a panic that escapes
+// every tier sets Err instead of unwinding the caller.
+func (e *Estimator) Estimate(ctx context.Context, q *Query) (ans Answer) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			reason := fmt.Sprintf("panic: %v", rec)
+			ans = Answer{Err: errors.New("condsel: estimation failed: " + reason)}
+			ans.Provenance.FallbackReason = reason
+		}
+	}()
+	if q == nil {
+		return Answer{Err: errors.New("condsel: nil query")}
+	}
+	lad := robust.New(e.est, robust.Config{NodeBudget: -1})
+	ans.Selectivity, ans.Cardinality, ans.Provenance = lad.Estimate(ctx, q.q)
+	return ans
 }
 
 // Explain returns the chosen decomposition: each conditional factor with

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -33,12 +34,13 @@ func main() {
 
 	fmt.Printf("%4s %14s %14s %14s %14s\n",
 		"qry", "true", "independence", "getSelectivity", "memo-coupled")
+	ctx := context.Background()
 	var fullErr, coupledErr float64
 	for i, q := range wl {
 		truth := db.ExactCardinality(q)
-		base := db.NewEstimator(noSit, condsel.NInd).Cardinality(q)
+		base := db.NewEstimator(noSit, condsel.NInd).Estimate(ctx, q).Cardinality
 		est := db.NewEstimator(pool, condsel.Diff)
-		full := est.Cardinality(q)
+		full := est.Estimate(ctx, q).Cardinality
 		coupled, err := est.CoupledCardinality(q)
 		if err != nil {
 			log.Fatal(err)

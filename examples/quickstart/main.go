@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,9 +37,10 @@ func main() {
 	fmt.Printf("statistics built: %d (of which %d base histograms)\n\n",
 		pool.Size(), noSit.Size())
 
+	ctx := context.Background()
 	truth := db.ExactCardinality(q)
-	base := db.NewEstimator(noSit, condsel.NInd).Cardinality(q)
-	withSits := db.NewEstimator(pool, condsel.Diff).Cardinality(q)
+	base := db.NewEstimator(noSit, condsel.NInd).Estimate(ctx, q).Cardinality
+	withSits := db.NewEstimator(pool, condsel.Diff).Estimate(ctx, q).Cardinality
 
 	fmt.Printf("%-24s %12.0f\n", "true cardinality", truth)
 	fmt.Printf("%-24s %12.0f   (%.1fx off)\n", "independence estimate", base, ratio(base, truth))

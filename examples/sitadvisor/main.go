@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -52,7 +53,7 @@ func main() {
 		est := db.NewEstimator(pool, condsel.Diff)
 		var sum float64
 		for i, q := range wl {
-			sum += math.Abs(est.Cardinality(q) - truth[i])
+			sum += math.Abs(est.Estimate(context.Background(), q).Cardinality - truth[i])
 		}
 		return sum / float64(len(wl))
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -76,7 +77,7 @@ func main() {
 }
 
 func report(db *condsel.DB, pool *condsel.Pool, q *condsel.Query, label string) {
-	est := db.NewEstimator(pool, condsel.Diff).Cardinality(q)
+	est := db.NewEstimator(pool, condsel.Diff).Estimate(context.Background(), q).Cardinality
 	fmt.Printf("%-34s %10.0f\n", label, est)
 }
 

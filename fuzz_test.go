@@ -6,6 +6,7 @@ package condsel_test
 // estimates to a sane selectivity — never panic.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -101,11 +102,14 @@ func FuzzQueryBuilder(f *testing.F) {
 		if s2 := q2.String(); s2 != s {
 			t.Fatalf("parse round-trip changed rendering:\n was: %s\n now: %s", s, s2)
 		}
-		// Estimation never panics and stays in range (cap the DP size so a
-		// long op stream cannot stall the fuzzing engine).
+		// The full DP answers without failing and stays in range (cap the
+		// DP size so a long op stream cannot stall the fuzzing engine).
 		if q.NumPredicates() <= 8 {
-			sel := est.Selectivity(q)
-			if math.IsNaN(sel) || sel < 0 || sel > 1+1e-9 {
+			ans := est.Estimate(context.Background(), q)
+			if ans.Err != nil || ans.Provenance.Tier != condsel.TierFullDP || ans.Provenance.FallbackReason != "" {
+				t.Fatalf("estimate degraded (err %v, provenance %+v) for %s", ans.Err, ans.Provenance, s)
+			}
+			if sel := ans.Selectivity; math.IsNaN(sel) || sel < 0 || sel > 1+1e-9 {
 				t.Fatalf("selectivity %v out of [0,1] for %s", sel, s)
 			}
 		}

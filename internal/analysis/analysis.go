@@ -48,16 +48,6 @@ type Analyzer interface {
 	Run(pass *Pass)
 }
 
-// Finalizer is implemented by analyzers that accumulate whole-program state
-// across packages (e.g. atomicmix's per-field access sites) and report only
-// once every package of the session has been analyzed. Finalize is called
-// exactly once, by Session.Finish; report applies the session's suppression
-// directives exactly like Pass.Reportf.
-type Finalizer interface {
-	Analyzer
-	Finalize(report func(pos token.Position, format string, args ...any))
-}
-
 // Pass hands one type-checked package to an analyzer.
 type Pass struct {
 	Fset  *token.FileSet
@@ -206,7 +196,7 @@ func inScope(path string, scope []string) bool {
 }
 
 // moduleWideScope is the scope rule of the whole-program analyzers
-// (userelease, atomicmix, goleak): every module package is analyzed except
+// (userelease, goleak): every module package is analyzed except
 // the fixture packages of *other* analyzers, whose deliberate violations
 // would otherwise bleed into single-analyzer fixture runs.
 func moduleWideScope(path, self string) bool {

@@ -44,11 +44,6 @@ func TestLadderGuardFixture(t *testing.T) {
 	testFixture(t, "ladderguard", []Analyzer{NewLadderGuard()})
 }
 
-func TestCtxLoopFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "ctxloop", []Analyzer{NewCtxLoop()})
-}
-
 func TestHotAllocFixture(t *testing.T) {
 	t.Parallel()
 	testFixture(t, "hotalloc", []Analyzer{NewHotAlloc()})
@@ -69,11 +64,6 @@ func TestCtxFlowFixture(t *testing.T) {
 func TestCtxFlowMainFixture(t *testing.T) {
 	t.Parallel()
 	testFixture(t, "ctxflowmain", []Analyzer{NewCtxFlow()})
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "atomicmix", []Analyzer{NewAtomicMix()})
 }
 
 func TestGoLeakFixture(t *testing.T) {

@@ -211,6 +211,19 @@ func isMainEntrypoint(pass *Pass, fd *ast.FuncDecl) bool {
 		fd.Recv == nil && fd.Name.Name == "main"
 }
 
+// isContextType reports whether t is context.Context (or an alias of it).
+func isContextType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}
+
 // isContextFunc reports whether fn is context.<name>.
 func isContextFunc(fn *types.Func, name string) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" && fn.Name() == name

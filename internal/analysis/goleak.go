@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// GoLeak generalizes ctxloop across call boundaries: every goroutine spawned
-// with `go` must be able to exit. The analyzer flags launches whose body —
-// or any function the body transitively calls, across packages — contains a
-// `for {}` loop with no way out: no return, no break/goto, no panic, and no
-// select arm receiving from a struct{} channel (which covers both
-// ctx.Done() and the conventional quit channel).
+// GoLeak requires every goroutine spawned with `go` to be able to exit. The
+// analyzer flags launches whose body — or any function the body
+// transitively calls, across packages — contains a `for {}` loop with no
+// way out: no return, no break/goto, no panic, and no select arm receiving
+// from a struct{} channel (which covers both ctx.Done() and the
+// conventional quit channel).
 //
 // The divergence rule is deliberately narrow — only unconditional loops with
 // no exit statement count — so bounded scans, fixpoint loops (`for changed`)

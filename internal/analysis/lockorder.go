@@ -2,26 +2,18 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// LockOrder enforces two locking invariants everywhere in the module:
-//
-//  1. heldcall: within a package, a method that holds a sync.Mutex/RWMutex
-//     field of its receiver must not call another method of the same
-//     receiver that (possibly transitively) acquires the same mutex —
-//     Go mutexes are not reentrant, so that is a guaranteed self-deadlock.
-//     The check walks statements in source order, tracking Lock/Unlock
-//     (and RLock/RUnlock) pairs including `defer x.mu.Unlock()`.
-//
-//  2. atomicfield: a struct field whose type comes from sync/atomic
-//     (atomic.Int64, atomic.Uint64, atomic.Pointer[T], ...) may only be
-//     used as the receiver of one of its methods (Load/Store/Add/...) or
-//     have its address taken; copying or plainly reading the field value
-//     bypasses the atomicity the field type exists to provide.
+// LockOrder enforces the module's locking invariant: within a package, a
+// method that holds a sync.Mutex/RWMutex field of its receiver must not call
+// another method of the same receiver that (possibly transitively) acquires
+// the same mutex — Go mutexes are not reentrant, so that is a guaranteed
+// self-deadlock. The check walks statements in source order, tracking
+// Lock/Unlock (and RLock/RUnlock) pairs including `defer x.mu.Unlock()`.
 //
 // The analyzer is module-wide: lock discipline is not package-specific.
+// (Copies of sync/atomic values are go vet's copylocks check.)
 type LockOrder struct{}
 
 // NewLockOrder returns the analyzer.
@@ -32,7 +24,7 @@ func (*LockOrder) Name() string { return "lockorder" }
 
 // Doc implements Analyzer.
 func (*LockOrder) Doc() string {
-	return "no method calls that re-acquire a held receiver mutex; sync/atomic fields only accessed through their methods"
+	return "no method calls that re-acquire a held receiver mutex"
 }
 
 // Run implements Analyzer.
@@ -46,7 +38,6 @@ func (a *LockOrder) Run(pass *Pass) {
 			}
 			checkHeldCalls(pass, fd, mayLock)
 		}
-		checkAtomicFields(pass, f)
 	}
 }
 
@@ -281,49 +272,4 @@ func walkExprCalls(pass *Pass, e ast.Expr, fn func(*ast.CallExpr, bool)) {
 		}
 		return true
 	})
-}
-
-// checkAtomicFields flags selections of sync/atomic-typed fields that are
-// neither a method-call receiver nor an address-of operand.
-func checkAtomicFields(pass *Pass, f *ast.File) {
-	walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		obj := pass.ObjectOf(sel.Sel)
-		if obj == nil {
-			return true
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || !v.IsField() || !isAtomicType(v.Type()) {
-			return true
-		}
-		if len(stack) > 0 {
-			switch parent := stack[len(stack)-1].(type) {
-			case *ast.SelectorExpr:
-				if parent.X == sel {
-					return true // x.f.Load() — the selection of f's method
-				}
-			case *ast.UnaryExpr:
-				if parent.Op == token.AND && parent.X == sel {
-					return true // &x.f — passing the atomic by pointer
-				}
-			}
-		}
-		pass.Reportf(sel.Pos(),
-			"field %s has atomic type %s but is accessed non-atomically; use its Load/Store/Add methods",
-			v.Name(), types.TypeString(v.Type(), types.RelativeTo(pass.Pkg)))
-		return true
-	})
-}
-
-// isAtomicType reports whether t is a named type from sync/atomic.
-func isAtomicType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }

@@ -96,20 +96,10 @@ func (s *Session) reportf(analyzer string, pos token.Position, format string, ar
 	s.diags = append(s.diags, d)
 }
 
-// Finish runs the whole-program finalizers, audits the ignore directives,
-// and returns the surviving and suppressed diagnostics, each sorted by
-// position. Call it exactly once, after the last Analyze.
+// Finish audits the ignore directives and returns the surviving and
+// suppressed diagnostics, each sorted by position. Call it exactly once,
+// after the last Analyze.
 func (s *Session) Finish() (findings, suppressed []Diagnostic) {
-	for _, a := range s.analyzers {
-		f, ok := a.(Finalizer)
-		if !ok {
-			continue
-		}
-		name := a.Name()
-		f.Finalize(func(pos token.Position, format string, args ...any) {
-			s.reportf(name, pos, format, args...)
-		})
-	}
 	s.auditDirectives()
 	sortDiagnostics(s.diags)
 	sortDiagnostics(s.suppressed)

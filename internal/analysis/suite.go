@@ -10,9 +10,7 @@ import "sort"
 // testdata/src/<name>; append it anywhere here and the sort places it.
 func Suite() []Analyzer {
 	analyzers := []Analyzer{
-		NewAtomicMix(),
 		NewCtxFlow(),
-		NewCtxLoop(),
 		NewDetMapRange(),
 		NewGoLeak(),
 		NewHotAlloc(),

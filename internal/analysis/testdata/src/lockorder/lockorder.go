@@ -1,17 +1,13 @@
 // Package lockorder is the fixture for the lockorder analyzer: held-lock
-// method re-entry and non-atomic access to sync/atomic fields.
+// method re-entry.
 package lockorder
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Counter guards n with mu and counts snapshots atomically.
+// Counter guards n with mu.
 type Counter struct {
-	mu   sync.Mutex
-	n    int
-	hits atomic.Int64
+	mu sync.Mutex
+	n  int
 }
 
 // Incr acquires the mutex.
@@ -55,25 +51,10 @@ func (c *Counter) LayeredLocked() {
 	c.incrLocked()
 }
 
-// Snapshot uses the atomic field through its methods: fine.
-func (c *Counter) Snapshot() int64 {
-	c.hits.Add(1)
-	return c.hits.Load()
-}
-
-// BadCopy copies the atomic value out, losing atomicity.
-func (c *Counter) BadCopy() int64 {
-	v := c.hits // want `accessed non-atomically`
-	return v.Load()
-}
-
-// ByPointer passes the atomic by address: allowed.
-func (c *Counter) ByPointer(f func(*atomic.Int64)) {
-	f(&c.hits)
-}
-
-// IgnoredCopy is suppressed with a reason.
-func (c *Counter) IgnoredCopy() atomic.Int64 {
+// IgnoredDoubleLock is suppressed with a reason.
+func (c *Counter) IgnoredDoubleLock() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	//lint:ignore lockorder fixture: demonstrates reasoned suppression
-	return c.hits // want-suppressed "accessed non-atomically"
+	c.Incr() // want-suppressed "while c.mu is held"
 }

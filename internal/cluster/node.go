@@ -517,12 +517,6 @@ func (n *Node) Estimate(ctx context.Context, q *engine.Query, cfg robust.Config)
 	return ms.ladderFor(cfg).Cardinality(ctx, q)
 }
 
-// Selectivity is Estimate for a predicate subset; same contract.
-func (n *Node) Selectivity(ctx context.Context, q *engine.Query, set engine.PredSet, cfg robust.Config) (float64, robust.Provenance) {
-	ms, cfg := n.fetchMissing(ctx, q, cfg)
-	return ms.ladderFor(cfg).Selectivity(ctx, q, set)
-}
-
 // fetchMissing performs the estimate path's bounded on-demand replication:
 // one fetch attempt per missing owner the query needs, degradation
 // provenance for each that stays unreachable. It returns the view to

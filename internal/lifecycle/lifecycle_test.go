@@ -374,6 +374,33 @@ func TestStopCheckpointsAndRestarts(t *testing.T) {
 	}
 }
 
+// TestStopReturnsWithQueuedRebuild: Stop returns promptly after a rebuild
+// was queued, so every worker loop observes cancellation. A worker that
+// drains the queue without a ctx.Done() arm (`for id := range m.queue`)
+// waits forever on a channel nobody closes, and Stop hangs in its wait.
+func TestStopReturnsWithQueuedRebuild(t *testing.T) {
+	db, _, pool := snapEnv(t)
+	m := New(db.Cat, pool, Config{Workers: 2})
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	id := m.Pool().SITs()[0].ID()
+	if !m.MarkStale(id, "test: queue a rebuild") {
+		t.Fatalf("MarkStale(%q) = false", id)
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- m.Stop() }()
+	const bound = 5 * time.Second
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatalf("Stop: %v", err)
+		}
+	case <-time.After(bound):
+		t.Fatalf("Stop did not return within %v: a worker ignores cancellation", bound)
+	}
+}
+
 // TestOpenWithoutSnapshots: an empty directory falls back to the provided
 // pool with no issues reported.
 func TestOpenWithoutSnapshots(t *testing.T) {

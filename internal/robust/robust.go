@@ -234,17 +234,25 @@ func (e *Estimator) Selectivity(ctx context.Context, q *engine.Query, set engine
 // Cardinality estimates the cardinality of the full query through the
 // ladder: Sel(all) · |tables^×|. The result is always finite and ≥ 0.
 func (e *Estimator) Cardinality(ctx context.Context, q *engine.Query) (float64, Provenance) {
-	sel, prov := e.Selectivity(ctx, q, q.All())
+	_, card, prov := e.Estimate(ctx, q)
+	return card, prov
+}
+
+// Estimate answers the full query through the ladder: its selectivity, its
+// cardinality Sel(all) · |tables^×|, and the provenance of both. The
+// selectivity is always finite and in [0,1], the cardinality finite and ≥ 0.
+func (e *Estimator) Estimate(ctx context.Context, q *engine.Query) (sel, card float64, prov Provenance) {
+	sel, prov = e.Selectivity(ctx, q, q.All())
 	tables := engine.PredsTables(q.Cat, q.Preds, q.All())
-	card := sel * q.Cat.CrossSize(tables)
+	card = sel * q.Cat.CrossSize(tables)
 	if math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
 		// Unreachable while Selectivity keeps its contract (sel ∈ [0,1] and
 		// CrossSize is finite ≥ 0), but cardinality is the value optimizers
 		// consume, so it gets its own last-line guard.
 		prov.FallbackReason += "; cardinality clamped"
-		return 0, prov
+		return sel, 0, prov
 	}
-	return card, prov
+	return sel, card, prov
 }
 
 // gvmGuarded runs the GVM tier with panic isolation and range validation.

@@ -28,7 +28,7 @@ func TestLifecycleFrontingIsFree(t *testing.T) {
 	bare := db.NewEstimator(pool, condsel.Diff)
 	m := db.NewLifecycle(pool, nil)
 	for i, q := range queries {
-		if got, want := m.Estimator().Cardinality(q), bare.Cardinality(q); got != want {
+		if got, want := m.Estimator().Estimate(context.Background(), q).Cardinality, bare.Estimate(context.Background(), q).Cardinality; got != want {
 			t.Fatalf("query %d: managed estimate %v != bare %v", i, got, want)
 		}
 	}
@@ -92,7 +92,7 @@ func TestLifecycleCheckpointRestart(t *testing.T) {
 	m1 := db.NewLifecycle(pool, opts)
 	ref := make([]float64, len(queries))
 	for i, q := range queries {
-		ref[i] = m1.Estimator().Cardinality(q)
+		ref[i] = m1.Estimator().Estimate(context.Background(), q).Cardinality
 	}
 	if _, err := m1.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -107,7 +107,7 @@ func TestLifecycleCheckpointRestart(t *testing.T) {
 		t.Fatalf("restart health = %+v", h)
 	}
 	for i, q := range queries {
-		if got := m2.Estimator().Cardinality(q); got != ref[i] {
+		if got := m2.Estimator().Estimate(context.Background(), q).Cardinality; got != ref[i] {
 			t.Fatalf("query %d: restarted estimate %v != original %v", i, got, ref[i])
 		}
 	}

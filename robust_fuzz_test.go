@@ -70,13 +70,15 @@ func FuzzRobustEstimate(f *testing.F) {
 		est := db.NewEstimator(pool, condsel.Diff)
 		q := queries[int(qpick)%len(queries)]
 
-		sel, sprov := est.SelectivityRobust(nil, q)
-		if math.IsNaN(sel) || sel < 0 || sel > 1 {
-			t.Fatalf("selectivity %v out of [0,1] (tier %v, reason %q)", sel, sprov.Tier, sprov.FallbackReason)
+		ans := est.Estimate(context.Background(), q)
+		if ans.Err != nil {
+			t.Fatalf("estimate failed: %v (tier %v, reason %q)", ans.Err, ans.Provenance.Tier, ans.Provenance.FallbackReason)
 		}
-		card, cprov := est.CardinalityRobust(context.Background(), q)
-		if math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
-			t.Fatalf("cardinality %v invalid (tier %v, reason %q)", card, cprov.Tier, cprov.FallbackReason)
+		if sel := ans.Selectivity; math.IsNaN(sel) || sel < 0 || sel > 1 {
+			t.Fatalf("selectivity %v out of [0,1] (tier %v, reason %q)", sel, ans.Provenance.Tier, ans.Provenance.FallbackReason)
+		}
+		if card := ans.Cardinality; math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
+			t.Fatalf("cardinality %v invalid (tier %v, reason %q)", card, ans.Provenance.Tier, ans.Provenance.FallbackReason)
 		}
 
 		// Whatever was quarantined must be accounted for. Statistics rejected

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	condsel "condsel"
+	"condsel/internal/faults"
 )
 
 // robustWorld builds a snowflake database, workload and J1 pool for the
@@ -21,28 +22,45 @@ func robustWorld(t *testing.T) (*condsel.DB, []*condsel.Query, *condsel.Pool) {
 	return db, queries, db.BuildStatistics(queries, 1, nil)
 }
 
+// checkEstimateMatchesRun asserts that Estimate answers every query at
+// TierFullDP with an empty FallbackReason, with a cardinality and
+// selectivity bit-identical to a Run over the same query.
+func checkEstimateMatchesRun(t *testing.T, est *condsel.Estimator, queries []*condsel.Query) {
+	t.Helper()
+	for i, q := range queries {
+		run := est.Run(q)
+		wantCard, err := run.Cardinality()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSel, err := run.Selectivity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans := est.Estimate(context.Background(), q)
+		if ans.Err != nil {
+			t.Fatalf("query %d: %v", i, ans.Err)
+		}
+		if ans.Cardinality != wantCard || ans.Selectivity != wantSel {
+			t.Fatalf("query %d: estimate (card %v, sel %v) != run (card %v, sel %v); must be bit-identical",
+				i, ans.Cardinality, ans.Selectivity, wantCard, wantSel)
+		}
+		if ans.Provenance.Tier != condsel.TierFullDP || ans.Provenance.FallbackReason != "" {
+			t.Fatalf("query %d: provenance %+v, want clean TierFullDP", i, ans.Provenance)
+		}
+	}
+}
+
 // TestRobustMatchesPlainUnarmed: with healthy statistics and no deadline,
-// CardinalityRobust/SelectivityRobust are bit-identical to the plain calls
-// and report a clean TierFullDP provenance — the whole fault-tolerance layer
-// costs nothing when nothing is wrong.
+// the ladder behind Estimate answers from the full DP, bit-identically to
+// the plain per-query Run, under every model and with or without a cache —
+// the whole fault-tolerance layer costs nothing when nothing is wrong.
 func TestRobustMatchesPlainUnarmed(t *testing.T) {
 	t.Parallel()
 	db, queries, pool := robustWorld(t)
-	est := db.NewEstimator(pool, condsel.Diff)
-	for i, q := range queries {
-		wantCard := est.Cardinality(q)
-		wantSel := est.Selectivity(q)
-		card, prov := est.CardinalityRobust(context.Background(), q)
-		if card != wantCard {
-			t.Fatalf("query %d: robust card %v != plain %v (must be bit-identical)", i, card, wantCard)
-		}
-		if prov.Tier != condsel.TierFullDP || prov.FallbackReason != "" {
-			t.Fatalf("query %d: provenance %+v, want clean TierFullDP", i, prov)
-		}
-		sel, _ := est.SelectivityRobust(nil, q)
-		if sel != wantSel {
-			t.Fatalf("query %d: robust sel %v != plain %v", i, sel, wantSel)
-		}
+	for _, model := range []condsel.Model{condsel.NInd, condsel.Diff, condsel.Opt} {
+		checkEstimateMatchesRun(t, db.NewEstimator(pool, model), queries)
+		checkEstimateMatchesRun(t, db.NewEstimator(pool, model).UseCache(condsel.NewSelCache(1024)), queries)
 	}
 }
 
@@ -54,43 +72,88 @@ func TestRobustExpiredDeadline(t *testing.T) {
 	est := db.NewEstimator(pool, condsel.Diff)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	card, prov := est.CardinalityRobust(ctx, queries[0])
-	if math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
+	ans := est.Estimate(ctx, queries[0])
+	if ans.Err != nil {
+		t.Fatalf("dead context failed the estimate: %v", ans.Err)
+	}
+	if card := ans.Cardinality; math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
 		t.Fatalf("cardinality under dead context = %v", card)
 	}
-	if prov.Tier == condsel.TierFullDP || prov.FallbackReason == "" {
+	if prov := ans.Provenance; prov.Tier == condsel.TierFullDP || prov.FallbackReason == "" {
 		t.Fatalf("dead context did not degrade: %+v", prov)
 	}
 }
 
-// TestCardinalityBatchRobustIsolation: a nil query in a batch fails alone —
-// its BatchResult carries the error, every other query estimates exactly as
-// the plain path would.
-func TestCardinalityBatchRobustIsolation(t *testing.T) {
+// TestEstimateBatchRobustIsolation: a nil query fails alone, in a batch as
+// in a single call — its Answer carries the error, every other query
+// answers exactly as its own Estimate does.
+func TestEstimateBatchRobustIsolation(t *testing.T) {
 	t.Parallel()
 	db, queries, pool := robustWorld(t)
 	est := db.NewEstimator(pool, condsel.Diff)
-	batch := append([]*condsel.Query{queries[0], nil}, queries[1:]...)
-	results := est.CardinalityBatchRobust(context.Background(), batch, 4)
-	if len(results) != len(batch) {
-		t.Fatalf("%d results for %d queries", len(results), len(batch))
+	if ans := est.Estimate(context.Background(), nil); ans.Err == nil {
+		t.Fatal("nil query produced no error")
 	}
-	for i, r := range results {
+	batch := append([]*condsel.Query{queries[0], nil}, queries[1:]...)
+	answers := est.EstimateBatch(context.Background(), batch, 4)
+	if len(answers) != len(batch) {
+		t.Fatalf("%d answers for %d queries", len(answers), len(batch))
+	}
+	for i, ans := range answers {
 		if batch[i] == nil {
-			if r.Err == nil {
-				t.Fatalf("result %d: nil query produced no error", i)
+			if ans.Err == nil {
+				t.Fatalf("answer %d: nil query produced no error", i)
 			}
 			continue
 		}
-		if r.Err != nil {
-			t.Fatalf("result %d: unexpected error %v", i, r.Err)
+		if want := est.Estimate(context.Background(), batch[i]); ans != want {
+			t.Fatalf("answer %d: %+v != single estimate %+v", i, ans, want)
 		}
-		if want := est.Cardinality(batch[i]); r.Cardinality != want {
-			t.Fatalf("result %d: %v != plain %v", i, r.Cardinality, want)
+		if ans.Provenance.Tier != condsel.TierFullDP {
+			t.Fatalf("answer %d: tier %v", i, ans.Provenance.Tier)
 		}
-		if r.Provenance.Tier != condsel.TierFullDP {
-			t.Fatalf("result %d: tier %v", i, r.Provenance.Tier)
+	}
+}
+
+// TestEstimateBatchInjectedPanicIsolation: a panic injected into one
+// factor computation, somewhere inside a batch run by four workers,
+// degrades exactly that query's answer — with the injection named in its
+// provenance — while the nil entry fails alone and every other answer is
+// bit-identical to its healthy estimate. The fault schedule is
+// process-global, so this test stays serial.
+func TestEstimateBatchInjectedPanicIsolation(t *testing.T) {
+	db, queries, pool := robustWorld(t)
+	est := db.NewEstimator(pool, condsel.Diff)
+	batch := append(append([]*condsel.Query{}, queries...), nil)
+	healthy := est.EstimateBatch(context.Background(), batch, 1)
+
+	sched := faults.NewSchedule(1).Set(faults.PanicInFactor, faults.Rule{Limit: 1})
+	faults.Arm(sched)
+	answers := est.EstimateBatch(context.Background(), batch, 4)
+	faults.Disarm()
+	if got := sched.Fires(faults.PanicInFactor); got != 1 {
+		t.Fatalf("panic-in-factor fired %d times, want 1", got)
+	}
+
+	injected := faults.Injected{Point: faults.PanicInFactor}.Error()
+	degraded := 0
+	for i, ans := range answers {
+		switch {
+		case batch[i] == nil:
+			if ans.Err == nil {
+				t.Fatalf("answer %d: nil query produced no error", i)
+			}
+		case ans.Provenance.Tier != condsel.TierFullDP:
+			degraded++
+			if ans.Err != nil || !strings.Contains(ans.Provenance.FallbackReason, injected) {
+				t.Fatalf("answer %d: degraded answer %+v does not name %q", i, ans, injected)
+			}
+		case ans != healthy[i]:
+			t.Fatalf("answer %d: %+v != healthy %+v", i, ans, healthy[i])
 		}
+	}
+	if degraded != 1 {
+		t.Fatalf("%d answers below full-dp, want exactly 1", degraded)
 	}
 }
 
@@ -112,12 +175,12 @@ func TestPoolHealthAndQuarantinePublic(t *testing.T) {
 		t.Fatalf("pre-use health already quarantined: %+v", h)
 	}
 	est := db.NewEstimator(pool, condsel.Diff)
-	card, prov := est.CardinalityRobust(context.Background(), queries[0])
-	if math.IsNaN(card) || card < 0 {
+	ans := est.Estimate(context.Background(), queries[0])
+	if card := ans.Cardinality; math.IsNaN(card) || card < 0 {
 		t.Fatalf("cardinality with corrupt pool = %v", card)
 	}
-	if prov.Tier != condsel.TierFullDP {
-		t.Fatalf("corrupt statistics degraded the tier: %+v (quarantine should handle them)", prov)
+	if ans.Provenance.Tier != condsel.TierFullDP {
+		t.Fatalf("corrupt statistics degraded the tier: %+v (quarantine should handle them)", ans.Provenance)
 	}
 	h := pool.Health()
 	if h.Quarantined != 1 || h.SITs != 1 {
