@@ -1,11 +1,10 @@
 // Package analysis is a static-analysis framework over the standard
 // library's go/ast and go/types, purpose-built for this module's project
-// invariants (bit-identical DP scans, generation-scoped cache keys,
-// lock-ordering discipline, side-component conditioning rules, deterministic
-// estimation code, arena lifetime and shutdown contracts). It deliberately
-// mirrors the shape of golang.org/x/tools/go/analysis — an Analyzer with a
-// Name, a Doc and a Run over a type-checked Pass — without importing
-// anything outside the standard library, so the module keeps its
+// invariants (bit-identical DP scans, lock-ordering discipline,
+// deterministic estimation code, arena lifetime and shutdown contracts). It
+// deliberately mirrors the shape of golang.org/x/tools/go/analysis — an
+// Analyzer with a Name, a Doc and a Run over a type-checked Pass — without
+// importing anything outside the standard library, so the module keeps its
 // zero-dependency go.mod.
 //
 // Since PR 8 the framework is interprocedural: packages are analyzed in

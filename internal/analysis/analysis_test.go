@@ -29,11 +29,6 @@ func TestLockOrderFixture(t *testing.T) {
 	testFixture(t, "lockorder", []Analyzer{NewLockOrder()})
 }
 
-func TestSideCondFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "sidecond", []Analyzer{NewSideCond()})
-}
-
 func TestNonDetFixture(t *testing.T) {
 	t.Parallel()
 	testFixture(t, "nondet", []Analyzer{NewNonDet()})

@@ -17,7 +17,6 @@ func Suite() []Analyzer {
 		NewLadderGuard(),
 		NewLockOrder(),
 		NewNonDet(),
-		NewSideCond(),
 		NewUseRelease(),
 	}
 	sort.Slice(analyzers, func(i, j int) bool { return analyzers[i].Name() < analyzers[j].Name() })

@@ -257,17 +257,6 @@ type truthKey struct {
 	cond engine.PredSet
 }
 
-// sideCondInvariant marks error models whose factor scores depend on the
-// conditioning set only through its side component(s) — the connected
-// component(s) attached to the scored predicate's attribute(s). NInd and
-// Diff qualify; Opt does not (its oracle consults the full conditioning
-// set). The factor memo keys side-invariant models on the reduced set,
-// collapsing exponentially many conditioning sets onto their few distinct
-// side components.
-type sideCondInvariant interface {
-	SideCondInvariant() bool
-}
-
 // NewRun starts a getSelectivity run for one query, drawing a pooled
 // context when the estimator has one. Pair with Release to recycle it.
 func (e *Estimator) NewRun(q *engine.Query) *Run {
@@ -306,9 +295,7 @@ func (e *Estimator) NewRun(q *engine.Query) *Run {
 		return r
 	}
 	r.fast = true
-	if m, ok := e.Model.(sideCondInvariant); ok && m.SideCondInvariant() {
-		r.sideInv = true
-	}
+	r.sideInv = e.Model.SideCondInvariant()
 	if r.joinSels == nil {
 		r.joinSels = make(map[sitPair]float64, 16)
 	}

@@ -16,6 +16,11 @@ import (
 type ErrorModel interface {
 	Name() string
 
+	// SideCondInvariant reports whether the model's scores depend on cond
+	// only through the side component(s) of the scored predicate (see
+	// Run.sideCond). If so, the factor memo keys the model on that side.
+	SideCondInvariant() bool
+
 	// FilterError scores approximating Sel(pred|cond) with SIT h, where
 	// pred is a filter predicate of the run's query.
 	FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64
@@ -37,9 +42,8 @@ type NInd struct{}
 // Name implements ErrorModel.
 func (NInd) Name() string { return "nInd" }
 
-// SideCondInvariant reports that nInd scores depend on the conditioning set
-// only through its side component(s) — nIndSide reduces cond to
-// sideCond(cond, attr) before anything else (see sideCondInvariant).
+// SideCondInvariant implements ErrorModel: nIndSide reduces cond to
+// sideCond(cond, attr) before anything else.
 func (NInd) SideCondInvariant() bool { return true }
 
 // FilterError implements ErrorModel.
@@ -84,8 +88,8 @@ type Diff struct{}
 // Name implements ErrorModel.
 func (Diff) Name() string { return "Diff" }
 
-// SideCondInvariant reports that Diff scores depend on the conditioning set
-// only through its side component(s), like nInd's (see sideCondInvariant).
+// SideCondInvariant implements ErrorModel: diffSide reduces cond to
+// sideCond(cond, attr) before anything else, like nIndSide.
 func (Diff) SideCondInvariant() bool { return true }
 
 // FilterError implements ErrorModel.
@@ -124,6 +128,11 @@ type Opt struct{}
 // Name implements ErrorModel.
 func (Opt) Name() string { return "Opt" }
 
+// SideCondInvariant implements ErrorModel. Opt is not side-invariant: its
+// oracle's Sel(p|Q) is 0 when Q selects no rows, so a table-disjoint
+// component of cond that selects nothing changes the truth Opt scores.
+func (Opt) SideCondInvariant() bool { return false }
+
 // FilterError implements ErrorModel.
 func (Opt) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
 	p := r.Query.Preds[pred]
@@ -131,11 +140,9 @@ func (Opt) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float6
 	return logErr(est, r.trueConditional(pred, cond))
 }
 
-// JoinError implements ErrorModel. Note that Opt is NOT side-invariant: the
-// oracle truth depends on the full conditioning set, so its factor memo keys
-// on cond verbatim. The candidate pair's join estimate goes through the
-// run's histogram-join cache — it is the same join scanJoin would time for
-// the winning pair.
+// JoinError implements ErrorModel. The candidate pair's join estimate goes
+// through the run's histogram-join cache — it is the same join scanJoin
+// would time for the winning pair.
 func (Opt) JoinError(r *Run, pred int, cond engine.PredSet, hl, hr *sit.SIT) float64 {
 	est := r.joinSelectivity(hl, hr)
 	return logErr(est, r.trueConditional(pred, cond))

@@ -13,10 +13,11 @@ import (
 // filterApprox / joinApprox are the memoized results of scanFilter/scanJoin.
 // The factor memos key them by (predicate position, canonical conditioning
 // set). For side-invariant error models (NInd, Diff) the conditioning set is
-// reduced to the component(s) connected to the predicate's attribute(s),
-// which is what collapses the DP's exponentially many ApproxFactor calls
-// onto the few distinct side components they actually depend on; for other
-// models (Opt) the full conditioning set is the key.
+// first reduced to the component(s) connected to the predicate's
+// attribute(s); for other models (Opt) the full conditioning set is the key.
+// The memo pays in exhaustive search and the greedy chain, which ask one
+// factor under several conditioning sets. The default singleton search asks
+// each Sel(p | S−p) once, for a connected S whose side is all of S−p.
 type filterApprox struct {
 	sel, err float64
 	sit      *sit.SIT
@@ -198,11 +199,11 @@ func (r *Run) candidates(attr engine.AttrID, cond engine.PredSet) []*sit.SIT {
 // sideCond returns the portion of cond that can influence attr: the
 // connected component of cond's predicates whose tables include attr's
 // table. Predicates of cond in table-disjoint components are irrelevant by
-// the separable decomposition property, so error models do not charge for
-// them — and candidate matching cannot see them either, as pool expressions
-// are connected and anchored at attr's table. That invariance (property-
-// tested by TestPropertySideCondInvariance) is what licenses the factor
-// memo's side reduction.
+// the separable decomposition property, so the side-invariant error models
+// do not charge for them — and candidate matching cannot see them either, as
+// pool expressions are connected and anchored at attr's table. That
+// invariance (property-tested by TestPropertySideCondInvariance) is what
+// licenses the factor memo's side reduction for those models.
 func (r *Run) sideCond(cond engine.PredSet, attr engine.AttrID) engine.PredSet {
 	q := r.Query
 	at := q.Cat.AttrTable(attr)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"condsel/internal/engine"
@@ -13,10 +15,10 @@ import (
 // optimization — with it on (default) and off (NoFastPath), every sub-query
 // returns bit-identical selectivity and error, and the identical chosen
 // decomposition (via Explain's complete rendering). Checked on the
-// motivating fixture for all three error models in both search modes, and on
-// random databases for the heuristic models. The fast-path estimator also
-// publishes through a cross-query result cache, so the equivalence covers
-// the full cache stack at once.
+// motivating fixture and on random databases, for all three error models in
+// both search modes. The fast-path estimator also publishes through a
+// cross-query result cache, so the equivalence covers the full cache stack
+// at once.
 func TestCacheEquivalenceHotPath(t *testing.T) {
 	t.Parallel()
 	shared := NewSelCache(1 << 12)
@@ -60,11 +62,13 @@ func TestCacheEquivalenceHotPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 25; trial++ {
 		cat, q, rpool := randomCaseJ(rng, 2)
-		for _, model := range []ErrorModel{NInd{}, Diff{}} {
+		ev := engine.NewEvaluator(cat)
+		for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
 			for _, ex := range []bool{false, true} {
 				est := NewEstimator(cat, rpool, model)
 				est.Exhaustive = ex
 				est.Cache = shared
+				est.Oracle = ev
 				check(t, model.Name(), est, q)
 			}
 		}
@@ -106,28 +110,118 @@ func disconnectedCase(rng *rand.Rand) (*engine.Catalog, *engine.Query, *sit.Pool
 	return cat, q, pool
 }
 
-// TestPropertySideCondInvariance: ApproxFactor(pp, qq) is invariant under
-// extending qq with predicates from components table-disjoint from pp's —
-// same selectivity and error bits, same SIT choices. This is the invariant
-// the factor memo's side reduction relies on for the side-invariant models
-// (NInd, Diff): pool expressions are connected and anchored at the factor
-// attribute's table, so neither candidate matching nor scoring can see the
-// disjoint predicates. Checked against the raw scans (NoFastPath), i.e. the
-// invariant itself rather than the memo that exploits it.
+// emptyComponentCase is a fixed database whose query has a table-disjoint
+// component that selects no rows: a join A–B with a filter on each side, and
+// a filter on C whose range lies outside C's values (0–9).
+func emptyComponentCase() (*engine.Catalog, *engine.Query, *sit.Pool) {
+	rng := rand.New(rand.NewSource(7))
+	cat := engine.NewCatalog()
+	for _, name := range []string{"A", "B", "C"} {
+		cols := make([]*engine.Column, 3)
+		for ci := range cols {
+			vals := make([]int64, 40)
+			for r := range vals {
+				vals[r] = int64(rng.Intn(10))
+			}
+			cols[ci] = &engine.Column{Name: string(rune('a' + ci)), Vals: vals}
+		}
+		cat.MustAddTable(&engine.Table{Name: name, Cols: cols})
+	}
+	q := engine.NewQuery(cat, []engine.Pred{
+		engine.Join(cat.MustAttr("A.a"), cat.MustAttr("B.a")),
+		engine.Filter(cat.MustAttr("A.b"), 2, 6),
+		engine.Filter(cat.MustAttr("B.c"), 0, 4),
+		engine.Filter(cat.MustAttr("C.b"), 100, 200),
+	})
+	pool := sit.BuildWorkloadPool(sit.NewBuilder(cat), []*engine.Query{q}, 1)
+	return cat, q, pool
+}
+
+// factorResult is one ApproxFactor answer.
+type factorResult struct {
+	sel, err float64
+	sits     []*sit.SIT
+}
+
+func factorOf(r *Run, pp, qq engine.PredSet) factorResult {
+	sel, err, sits := r.ApproxFactor(pp, qq)
+	return factorResult{sel, err, sits}
+}
+
+func (a factorResult) equal(b factorResult) bool {
+	return a.sel == b.sel && a.err == b.err && slices.Equal(a.sits, b.sits)
+}
+
+// TestPropertySideCondInvariance checks the factor memo's side reduction by
+// its effect, for every error model:
+//
+//   - Through the memo: for every singleton pp and every qq ⊆ all−pp, the
+//     fast path's ApproxFactor(pp, qq) is bit-identical to the raw scan's
+//     (NoFastPath). A model that declares SideCondInvariant wrongly, or a
+//     reduction that skips the run's sideInv guard, shows up here as a
+//     memoised factor the raw scan disagrees with.
+//   - The declaration itself, on the raw scans: a side-invariant model's
+//     ApproxFactor(pp, qq) is unchanged when qq is extended with predicates
+//     from components table-disjoint from pp's, because pool expressions are
+//     connected and anchored at the factor attribute's table, so neither
+//     candidate matching nor scoring can see them. A model that declares no
+//     invariance must show a disjoint extension that changes one of its
+//     factors: Opt does, because its oracle's Sel(p|Q) is 0 when Q selects
+//     no rows.
+//
+// The cases are random disconnected queries plus emptyComponentCase. Only
+// the latter has a join factor whose truth a disjoint component changes, so
+// only it catches an unguarded reduction in approxJoin.
 func TestPropertySideCondInvariance(t *testing.T) {
 	t.Parallel()
+	type dbCase struct {
+		cat  *engine.Catalog
+		q    *engine.Query
+		pool *sit.Pool
+	}
+	var cases []dbCase
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 30; trial++ {
 		cat, q, pool := disconnectedCase(rng)
-		full := q.All()
-		comps := engine.Components(cat, q.Preds, full)
-		if len(comps) < 2 {
-			t.Fatalf("trial %d: generator produced a connected query", trial)
-		}
-		for _, model := range []ErrorModel{NInd{}, Diff{}} {
-			est := NewEstimator(cat, pool, model)
-			est.NoFastPath = true
-			r := est.NewRun(q)
+		cases = append(cases, dbCase{cat, q, pool})
+	}
+	cat, q, pool := emptyComponentCase()
+	cases = append(cases, dbCase{cat, q, pool})
+
+	for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
+		factors, mismatched, changed := 0, 0, 0
+		var firstMismatch, firstChange string
+		for k, c := range cases {
+			full := c.q.All()
+			comps := engine.Components(c.cat, c.q.Preds, full)
+			if len(comps) < 2 {
+				t.Fatalf("case %d: generator produced a connected query", k)
+			}
+			est := NewEstimator(c.cat, c.pool, model)
+			est.Oracle = engine.NewEvaluator(c.cat)
+			slow := *est
+			slow.NoFastPath = true
+			fast, raw := est.NewRun(c.q), slow.NewRun(c.q)
+
+			for i := range c.q.Preds {
+				pp := engine.NewPredSet(i)
+				rest := full.Minus(pp)
+				for qq := engine.PredSet(0); qq <= rest; qq++ {
+					if !qq.SubsetOf(rest) {
+						continue
+					}
+					factors++
+					a, b := factorOf(fast, pp, qq), factorOf(raw, pp, qq)
+					if !a.equal(b) {
+						if mismatched == 0 {
+							firstMismatch = fmt.Sprintf("case %d ApproxFactor(%v|%v): memo (%v,%v) vs raw (%v,%v)",
+								k, pp, qq, a.sel, a.err, b.sel, b.err)
+						}
+						mismatched++
+					}
+				}
+			}
+
 			for ci, comp := range comps {
 				var disj engine.PredSet
 				for cj, other := range comps {
@@ -141,26 +235,33 @@ func TestPropertySideCondInvariance(t *testing.T) {
 						if !qq.SubsetOf(rest) {
 							continue
 						}
-						sel0, err0, sits0 := r.ApproxFactor(pp, qq)
+						base := factorOf(raw, pp, qq)
 						for _, d := range []engine.PredSet{disj, disj & (disj - 1)} {
 							if d.Empty() {
 								continue
 							}
-							sel1, err1, sits1 := r.ApproxFactor(pp, qq.Union(d))
-							if sel0 != sel1 || err0 != err1 || len(sits0) != len(sits1) {
-								t.Fatalf("trial %d %s: ApproxFactor(%v|%v) = (%v,%v) but (%v|%v) = (%v,%v)",
-									trial, model.Name(), pp, qq, sel0, err0, pp, qq.Union(d), sel1, err1)
-							}
-							for k := range sits0 {
-								if sits0[k] != sits1[k] {
-									t.Fatalf("trial %d %s: SIT choice %d changed under disjoint extension %v",
-										trial, model.Name(), k, d)
+							if ext := factorOf(raw, pp, qq.Union(d)); !base.equal(ext) {
+								if changed == 0 {
+									firstChange = fmt.Sprintf("case %d ApproxFactor(%v|%v) = (%v,%v) but (%v|%v) = (%v,%v)",
+										k, pp, qq, base.sel, base.err, pp, qq.Union(d), ext.sel, ext.err)
 								}
+								changed++
 							}
 						}
 					}
 				})
 			}
+		}
+		if mismatched > 0 {
+			t.Errorf("%s: %d of %d memoised factors differ from the raw scan; first: %s",
+				model.Name(), mismatched, factors, firstMismatch)
+		}
+		switch inv := model.SideCondInvariant(); {
+		case inv && changed > 0:
+			t.Errorf("%s declares SideCondInvariant, but %d table-disjoint extensions changed a raw factor; first: %s",
+				model.Name(), changed, firstChange)
+		case !inv && changed == 0:
+			t.Errorf("%s declares no side invariance, but no table-disjoint extension changed a raw factor", model.Name())
 		}
 	}
 }
@@ -172,6 +273,8 @@ func TestPropertySideCondInvariance(t *testing.T) {
 type scriptedModel struct{ calls int }
 
 func (m *scriptedModel) Name() string { return "scripted" }
+
+func (m *scriptedModel) SideCondInvariant() bool { return false }
 
 func (m *scriptedModel) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
 	m.calls++

@@ -10,9 +10,7 @@
 //
 // The estimator is safe for concurrent use: the adjustment table is
 // mutex-guarded, so execution-feedback goroutines can Observe while
-// estimation goroutines Estimate. Observations additionally fan out to an
-// optional Observer — the statistics lifecycle manager registers one and
-// uses the (estimate, truth) pairs as its drift signal.
+// estimation goroutines Estimate.
 package feedback
 
 import (
@@ -24,14 +22,6 @@ import (
 	"condsel/internal/sit"
 )
 
-// Observer receives every observation fed to Observe: the sub-query, the
-// estimator's cardinality estimate *before* learning from the observation,
-// and the observed true cardinality. Estimation drift monitors (the
-// statistics lifecycle manager) consume this stream. Observers are invoked
-// synchronously but outside the estimator's lock, so an observer may call
-// back into the estimator freely.
-type Observer func(q *engine.Query, set engine.PredSet, estCard, trueCard float64)
-
 // Estimator is an independence-assumption estimator over base histograms
 // with multiplicative per-predicate-identity adjustments learned from
 // observed cardinalities. Safe for concurrent use.
@@ -39,26 +29,16 @@ type Estimator struct {
 	cat  *engine.Catalog
 	pool *sit.Pool // base histograms (SIT expressions are ignored)
 
-	// mu guards adj and observer. Estimation reads and learning writes may
-	// come from different goroutines (execution feedback is asynchronous by
-	// nature), so every access to the adjustment table is locked.
+	// mu guards adj. Estimation reads and learning writes may come from
+	// different goroutines (execution feedback is asynchronous by nature),
+	// so every access to the adjustment table is locked.
 	mu  sync.Mutex
 	adj map[string]float64
-
-	observer Observer
 }
 
 // New returns a feedback estimator over the pool's base histograms.
 func New(cat *engine.Catalog, pool *sit.Pool) *Estimator {
 	return &Estimator{cat: cat, pool: pool, adj: make(map[string]float64)}
-}
-
-// SetObserver registers fn to receive every subsequent observation (nil
-// unregisters). Lifecycle drift detection attaches here.
-func (e *Estimator) SetObserver(fn Observer) {
-	e.mu.Lock()
-	e.observer = fn
-	e.mu.Unlock()
 }
 
 // key returns the adjustment slot for a predicate: per attribute for
@@ -126,16 +106,13 @@ func (e *Estimator) EstimateCardinality(q *engine.Query, set engine.PredSet) flo
 // discrepancy between the estimate and the truth is distributed
 // geometrically over the participating predicates' adjustment slots, so a
 // re-estimate of the same query is exact afterwards (LEO's defining
-// behaviour). Queries whose truth or estimate is zero teach nothing —
-// but even those reach a registered Observer, whose drift accumulators
-// want the raw stream.
+// behaviour). Queries whose truth or estimate is zero teach nothing.
 func (e *Estimator) Observe(q *engine.Query, set engine.PredSet, trueCard float64) {
 	tables := engine.PredsTables(q.Cat, q.Preds, set)
 	cross := q.Cat.CrossSize(tables)
 
 	e.mu.Lock()
 	est := e.estimateSelectivityLocked(q, set)
-	observer := e.observer
 	if cross > 0 && trueCard > 0 && est > 0 {
 		ratio := (trueCard / cross) / est
 		n := set.Len()
@@ -152,10 +129,6 @@ func (e *Estimator) Observe(q *engine.Query, set engine.PredSet, trueCard float6
 		}
 	}
 	e.mu.Unlock()
-
-	if observer != nil {
-		observer(q, set, est*cross, trueCard)
-	}
 }
 
 // Adjustments returns the number of learned adjustment slots.

@@ -148,45 +148,6 @@ func TestConcurrentObserveEstimate(t *testing.T) {
 	wg.Wait()
 }
 
-// TestObserverReceivesRawStream: every observation — degenerate ones
-// included — reaches a registered observer with the pre-learning estimate,
-// and the observer may call back into the estimator (it runs outside the
-// lock).
-func TestObserverReceivesRawStream(t *testing.T) {
-	t.Parallel()
-	db, queries, pool, ev := testEnv(t)
-	e := New(db.Cat, pool)
-	q := queries[0]
-
-	var got []struct{ est, truth float64 }
-	e.SetObserver(func(oq *engine.Query, set engine.PredSet, estCard, trueCard float64) {
-		// Re-entrancy: the observer consults the estimator it observes.
-		_ = e.EstimateSelectivity(oq, set)
-		got = append(got, struct{ est, truth float64 }{estCard, trueCard})
-	})
-
-	before := e.EstimateCardinality(q, q.All())
-	truth := ev.Count(q.Tables, q.Preds, q.All())
-	e.Observe(q, q.All(), truth)
-	e.Observe(q, q.All(), 0) // degenerate: teaches nothing, still observed
-
-	if len(got) != 2 {
-		t.Fatalf("observer saw %d observations, want 2", len(got))
-	}
-	if math.Abs(got[0].est-before) > 1e-9*math.Abs(before) {
-		t.Fatalf("observer estimate %v is not the pre-learning estimate %v", got[0].est, before)
-	}
-	if got[0].truth != truth || got[1].truth != 0 {
-		t.Fatalf("observer truths = %v, %v; want %v, 0", got[0].truth, got[1].truth, truth)
-	}
-
-	e.SetObserver(nil)
-	e.Observe(q, q.All(), truth)
-	if len(got) != 2 {
-		t.Fatalf("unregistered observer still invoked")
-	}
-}
-
 func TestSelectivityBounds(t *testing.T) {
 	t.Parallel()
 	db, queries, pool, ev := testEnv(t)

@@ -271,8 +271,9 @@ type Health struct {
 	States []StatusRecord
 }
 
-// Manager runs the lifecycle. Create one with New or Open, attach its
-// Observer to the feedback stream, Start it, and estimate through Estimator.
+// Manager runs the lifecycle. Create one with New or Open, Start it, feed it
+// execution feedback through Observe or ObserveAt, and estimate through
+// Estimator.
 type Manager struct {
 	cfg Config
 	cat *engine.Catalog
@@ -559,15 +560,6 @@ func (m *Manager) Revive(id string) bool {
 	st.reason = "revived"
 	m.enqueueLocked(st)
 	return true
-}
-
-// Observer adapts the manager to the feedback stream: plug the result into
-// feedback.Estimator.SetObserver (or call Observe directly from execution
-// feedback). Observations are attributed to the current epoch.
-func (m *Manager) Observer() func(q *engine.Query, set engine.PredSet, estCard, trueCard float64) {
-	return func(q *engine.Query, set engine.PredSet, estCard, trueCard float64) {
-		m.Observe(q, set, estCard, trueCard)
-	}
 }
 
 // Observe feeds one execution-feedback observation — the estimated and true

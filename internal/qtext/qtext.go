@@ -92,13 +92,14 @@ func (p *parser) tokenize(text string) error {
 			p.toks = append(p.toks, token{tokOp, "=", i})
 			i++
 		case c == '<' || c == '>':
+			start := i
 			op := string(c)
 			i++
 			if i < len(text) && text[i] == '=' {
 				op += "="
 				i++
 			}
-			p.toks = append(p.toks, token{tokOp, op, i})
+			p.toks = append(p.toks, token{tokOp, op, start})
 		case c == '-' || unicode.IsDigit(c):
 			start := i
 			i++
@@ -211,9 +212,9 @@ func (p *parser) parsePred() (engine.Pred, error) {
 	switch t.kind {
 	case tokNumber:
 		// const <= attr <= const
-		lo, err := strconv.ParseInt(t.text, 10, 64)
+		lo, err := number(t)
 		if err != nil {
-			return engine.Pred{}, fmt.Errorf("qtext: bad number %q", t.text)
+			return engine.Pred{}, err
 		}
 		op1, ok := p.next()
 		if !ok || op1.kind != tokOp || (op1.text != "<=" && op1.text != "<") {
@@ -235,15 +236,19 @@ func (p *parser) parsePred() (engine.Pred, error) {
 		if !ok || hiTok.kind != tokNumber {
 			return engine.Pred{}, fmt.Errorf("qtext: expected constant closing range predicate")
 		}
-		hi, err := strconv.ParseInt(hiTok.text, 10, 64)
+		hi, err := number(hiTok)
 		if err != nil {
-			return engine.Pred{}, fmt.Errorf("qtext: bad number %q", hiTok.text)
+			return engine.Pred{}, err
 		}
 		if op1.text == "<" {
-			lo++
+			if lo, err = strictBound(lo, 1, t.text+" <"); err != nil {
+				return engine.Pred{}, err
+			}
 		}
 		if op2.text == "<" {
-			hi--
+			if hi, err = strictBound(hi, -1, "< "+hiTok.text); err != nil {
+				return engine.Pred{}, err
+			}
 		}
 		return engine.Filter(attr, lo, hi), nil
 
@@ -264,8 +269,14 @@ func (p *parser) parsePred() (engine.Pred, error) {
 			if !ok || hiTok.kind != tokNumber {
 				return engine.Pred{}, fmt.Errorf("qtext: expected upper constant in BETWEEN")
 			}
-			lo, _ := strconv.ParseInt(loTok.text, 10, 64)
-			hi, _ := strconv.ParseInt(hiTok.text, 10, 64)
+			lo, err := number(loTok)
+			if err != nil {
+				return engine.Pred{}, err
+			}
+			hi, err := number(hiTok)
+			if err != nil {
+				return engine.Pred{}, err
+			}
 			return engine.Filter(attr, lo, hi), nil
 		}
 		opTok, ok := p.next()
@@ -289,25 +300,55 @@ func (p *parser) parsePred() (engine.Pred, error) {
 		if rhs.kind != tokNumber {
 			return engine.Pred{}, fmt.Errorf("qtext: expected constant or attribute after %s", opTok.text)
 		}
-		v, err := strconv.ParseInt(rhs.text, 10, 64)
+		v, err := number(rhs)
 		if err != nil {
-			return engine.Pred{}, fmt.Errorf("qtext: bad number %q", rhs.text)
+			return engine.Pred{}, err
 		}
 		switch opTok.text {
 		case "=":
 			return engine.Eq(attr, v), nil
 		case "<":
-			return engine.Filter(attr, engine.MinValue, v-1), nil
+			hi, err := strictBound(v, -1, "< "+rhs.text)
+			if err != nil {
+				return engine.Pred{}, err
+			}
+			return engine.Filter(attr, engine.MinValue, hi), nil
 		case "<=":
 			return engine.Filter(attr, engine.MinValue, v), nil
 		case ">":
-			return engine.Filter(attr, v+1, engine.MaxValue), nil
+			lo, err := strictBound(v, 1, "> "+rhs.text)
+			if err != nil {
+				return engine.Pred{}, err
+			}
+			return engine.Filter(attr, lo, engine.MaxValue), nil
 		case ">=":
 			return engine.Filter(attr, v, engine.MaxValue), nil
 		}
 		return engine.Pred{}, fmt.Errorf("qtext: unsupported operator %q", opTok.text)
 	}
 	return engine.Pred{}, fmt.Errorf("qtext: unexpected token %q at position %d", t.text, t.pos)
+}
+
+// number parses a numeric token; an out-of-range literal, or a "-" with no
+// digits, is an error.
+func number(t token) (int64, error) {
+	v, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("qtext: bad number %q", t.text)
+	}
+	return v, nil
+}
+
+// strictBound turns a strict bound v into the inclusive bound next to it,
+// v+step: step is 1 for a lower bound (a < x) and -1 for an upper bound
+// (x < b). A bound with no int64 neighbour on that side is an error naming
+// it, like an out-of-range literal: wrapping round would answer for a
+// different predicate.
+func strictBound(v, step int64, bound string) (int64, error) {
+	if (step > 0 && v == engine.MaxValue) || (step < 0 && v == engine.MinValue) {
+		return 0, fmt.Errorf("qtext: strict bound %q leaves the int64 range", bound)
+	}
+	return v + step, nil
 }
 
 func (p *parser) attr(t token) (engine.AttrID, error) {

@@ -143,6 +143,13 @@ func TestParseErrors(t *testing.T) {
 		{"5 = r.a", "expected <= after leading constant"},
 		{"r.a = 1 AND @", "unexpected character"},
 		{"r.a BETWEEN r.b AND 3", "expected constant after BETWEEN"},
+		{"r.a > 9223372036854775807", `strict bound "> 9223372036854775807" leaves the int64 range`},
+		{"r.a < -9223372036854775808", `strict bound "< -9223372036854775808" leaves the int64 range`},
+		{"9223372036854775807 < r.a <= 5", `strict bound "9223372036854775807 <" leaves the int64 range`},
+		{"1 <= r.a < -9223372036854775808", `strict bound "< -9223372036854775808" leaves the int64 range`},
+		{"r.a BETWEEN - AND -", `bad number "-"`},
+		{"r.a BETWEEN 99999999999999999999 AND 5", `bad number "99999999999999999999"`},
+		{"r.a = 1 >= 2", `unexpected ">=" at position 8`},
 	}
 	for _, tc := range cases {
 		_, err := Parse(c, tc.text)
