@@ -158,26 +158,6 @@ func BenchmarkGetSelectivity(b *testing.B) {
 	}
 }
 
-// BenchmarkGetSelectivityExhaustive compares the paper's O(3ⁿ) loop with
-// the default singleton-head DP on the same query.
-func BenchmarkGetSelectivityExhaustive(b *testing.B) {
-	qe := getQueryEnv(5)
-	for _, exhaustive := range []bool{false, true} {
-		name := "singleton"
-		if exhaustive {
-			name = "exhaustive"
-		}
-		b.Run(name, func(b *testing.B) {
-			est := core.NewEstimator(qe.env.DB.Cat, qe.pool, core.NInd{})
-			est.Exhaustive = exhaustive
-			for i := 0; i < b.N; i++ {
-				run := est.NewRun(qe.query)
-				run.GetSelectivity(qe.query.All())
-			}
-		})
-	}
-}
-
 // BenchmarkGVM measures one greedy view-matching estimation.
 func BenchmarkGVM(b *testing.B) {
 	for _, j := range []int{3, 5} {

@@ -7,8 +7,8 @@
 // plan-quality study P1, the estimation-service throughput benchmark
 // ("est": shared estimator under concurrent load, with or without the
 // cross-query selectivity cache), the getSelectivity hot-path benchmark
-// ("dp": NoFastPath baseline vs the optimized DP across query sizes, search
-// modes and error models), the large-scale soak harness ("soak": a grown
+// ("dp": NoFastPath baseline vs the optimized DP across query sizes and
+// error models), the large-scale soak harness ("soak": a grown
 // 100+-table schema driven through repeated drift → rebuild → hot-swap →
 // fault → recovery arcs under phased adversarial workloads), the
 // service-layer load arc ("serve": a real sitserve-shaped HTTP server driven

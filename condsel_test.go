@@ -3,6 +3,7 @@ package condsel_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -450,6 +451,83 @@ func TestTwoDimStatistics(t *testing.T) {
 	}
 	if err := manual.Add2DHistogram("zzz.z", "customer.hot"); err == nil {
 		t.Fatalf("unknown attribute accepted")
+	}
+}
+
+// TestLoadPoolRejectsMalformed2D: a saved pool whose 2-D histogram was
+// corrupted reloads without that histogram, with the reason in Health, and
+// the full DP then answers exactly as it does over the same pool without 2-D
+// statistics. Before the load-time check, the first two corruptions made
+// both DP tiers panic (Estimate fell back to GVM, Run panicked) and the
+// third silently changed the estimate.
+func TestLoadPoolRejectsMalformed2D(t *testing.T) {
+	t.Parallel()
+	db := snowflake(t)
+	q := db.Query().
+		Join("sales.customer_fk", "customer.id").
+		Filter("customer.hot", 9000, 10000).
+		MustBuild()
+	pool := db.BuildStatistics([]*condsel.Query{q}, 0, &condsel.StatsOptions{TwoDim: true})
+	if pool.Size2D() != 1 {
+		t.Fatalf("want one 2-D histogram, got %d", pool.Size2D())
+	}
+	var saved bytes.Buffer
+	if err := pool.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	plain := db.BuildStatistics([]*condsel.Query{q}, 0, nil)
+	want := db.NewEstimator(plain, condsel.Diff).Estimate(context.Background(), q)
+
+	cut := func(key string, n int) func(h map[string]any) {
+		return func(h map[string]any) { h[key] = h[key].([]any)[:n] }
+	}
+	cases := []struct {
+		name    string
+		corrupt func(h map[string]any)
+	}{
+		{"ragged cells row", func(h map[string]any) {
+			cells := h["cells"].([]any)
+			row := cells[1].([]any)
+			cells[1] = row[:len(row)-1]
+		}},
+		{"x distinct cut to one entry", cut("xDistinct", 1)},
+		{"x bounds cut to two entries", cut("xBounds", 2)},
+	}
+	for _, c := range cases {
+		var snap map[string]any
+		if err := json.Unmarshal(saved.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		hist := snap["sits2d"].([]any)[0].(map[string]any)["hist"].(map[string]any)
+		if len(hist["cells"].([]any)) < 2 {
+			t.Fatal("want a 2-D histogram with at least 2 x stripes")
+		}
+		c.corrupt(hist)
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := db.LoadPool(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if loaded.Size2D() != 0 {
+			t.Errorf("%s: Size2D = %d, want 0", c.name, loaded.Size2D())
+		}
+		if h := loaded.Health(); h.Quarantined != 1 || len(h.Reasons) != 1 {
+			t.Errorf("%s: health %+v, want one quarantined statistic with its reason", c.name, h)
+		}
+		est := db.NewEstimator(loaded, condsel.Diff)
+		ans := est.Estimate(context.Background(), q)
+		if ans.Err != nil || ans.Provenance.Tier != condsel.TierFullDP || ans.Provenance.FallbackReason != "" {
+			t.Fatalf("%s: answer %+v, want a clean full-DP estimate", c.name, ans)
+		}
+		if ans.Cardinality != want.Cardinality {
+			t.Errorf("%s: cardinality %v, want %v as without 2-D statistics", c.name, ans.Cardinality, want.Cardinality)
+		}
+		if card, err := est.Run(q).Cardinality(); err != nil || card != want.Cardinality {
+			t.Errorf("%s: Run cardinality %v (%v), want %v", c.name, card, err, want.Cardinality)
+		}
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 // a closure launched or invoked by f is reachable code of f for the
 // purposes of summary facts.
 type CallGraph struct {
-	decls   map[*types.Func]*ast.FuncDecl
-	pkgOf   map[*types.Func]*Package
 	callees map[*types.Func][]*types.Func
 	edgeSet map[*types.Func]map[*types.Func]bool
 }
@@ -26,8 +24,6 @@ type CallGraph struct {
 // NewCallGraph returns an empty graph.
 func NewCallGraph() *CallGraph {
 	return &CallGraph{
-		decls:   make(map[*types.Func]*ast.FuncDecl),
-		pkgOf:   make(map[*types.Func]*Package),
 		callees: make(map[*types.Func][]*types.Func),
 		edgeSet: make(map[*types.Func]map[*types.Func]bool),
 	}
@@ -48,8 +44,6 @@ func (g *CallGraph) AddPackage(pkg *Package) {
 			if !ok {
 				continue
 			}
-			g.decls[fn] = fd
-			g.pkgOf[fn] = pkg
 			g.addEdges(pkg, fn, fd.Body)
 		}
 	}
@@ -83,38 +77,8 @@ func (g *CallGraph) addEdges(pkg *Package, from *types.Func, body ast.Node) {
 	})
 }
 
-// DeclOf returns the declaration of fn if its package has been added to the
-// graph, nil otherwise (stdlib functions, not-yet-analyzed packages).
-func (g *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
-
-// PackageOf returns the analyzed package declaring fn, or nil.
-func (g *CallGraph) PackageOf(fn *types.Func) *Package { return g.pkgOf[fn] }
-
 // Callees returns fn's outgoing edges in source order.
 func (g *CallGraph) Callees(fn *types.Func) []*types.Func { return g.callees[fn] }
-
-// Reaches reports whether pred holds for fn or any function transitively
-// reachable from it through the graph's edges.
-func (g *CallGraph) Reaches(fn *types.Func, pred func(*types.Func) bool) bool {
-	seen := make(map[*types.Func]bool)
-	var walk func(f *types.Func) bool
-	walk = func(f *types.Func) bool {
-		if seen[f] {
-			return false
-		}
-		seen[f] = true
-		if pred(f) {
-			return true
-		}
-		for _, callee := range g.callees[f] {
-			if walk(callee) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(fn)
-}
 
 // CalleeOf resolves a call expression to the *types.Func it statically
 // invokes (plain function call or method call), or nil for dynamic calls,

@@ -16,7 +16,7 @@ import (
 // DPBenchConfig configures the getSelectivity hot-path benchmark: for each
 // query size the DP is timed end-to-end (NewRun + GetSelectivity of the full
 // query) with the hot-path machinery disabled (NoFastPath baseline) and
-// enabled, across search modes and error models.
+// enabled, across error models.
 type DPBenchConfig struct {
 	Sizes     []int // total predicate counts (default 6,8,10,12)
 	Queries   int   // queries measured per size (default 3)
@@ -40,7 +40,7 @@ func (c DPBenchConfig) withDefaults() DPBenchConfig {
 	return c
 }
 
-// DPBenchCell is one (size, model, mode) measurement: baseline vs optimized
+// DPBenchCell is one (size, model) measurement: baseline vs optimized
 // nanoseconds per full-query GetSelectivity, with the pool's view-matching
 // call counts as a second witness of the work avoided.
 type DPBenchCell struct {
@@ -48,7 +48,6 @@ type DPBenchCell struct {
 	Joins   int    `json:"joins"`
 	Filters int    `json:"filters"`
 	Model   string `json:"model"`
-	Mode    string `json:"mode"` // "singleton" or "exhaustive"
 
 	BaselineNsPerOp  float64 `json:"baseline_ns_per_op"`
 	OptimizedNsPerOp float64 `json:"optimized_ns_per_op"`
@@ -124,40 +123,32 @@ func (e *Env) DPBench(cfg DPBenchConfig) DPBenchReport {
 			runtime.GOMAXPROCS(0), func(b *sit.Builder) { b.Buckets = e.Opts.Buckets })
 
 		for _, model := range models {
-			for _, exhaustive := range []bool{false, true} {
-				mode := "singleton"
-				if exhaustive {
-					mode = "exhaustive"
-				}
-				cell := DPBenchCell{N: n, Joins: joins, Filters: filters,
-					Model: model.Name(), Mode: mode}
+			cell := DPBenchCell{N: n, Joins: joins, Filters: filters, Model: model.Name()}
 
-				variant := func(noFastPath bool) (nsPerOp float64, matchCalls int64) {
-					core.ResetHistJoinCache()
-					pool.ResetMatchCalls()
-					est := core.NewEstimator(e.DB.Cat, pool, model)
-					est.Exhaustive = exhaustive
-					est.NoFastPath = noFastPath
-					ops := 0
-					start := time.Now()
-					for it := 0; it < cfg.Iters; it++ {
-						for _, q := range queries {
-							r := est.NewRun(q)
-							r.GetSelectivity(q.All())
-							r.Release()
-							ops++
-						}
+			variant := func(noFastPath bool) (nsPerOp float64, matchCalls int64) {
+				core.ResetHistJoinCache()
+				pool.ResetMatchCalls()
+				est := core.NewEstimator(e.DB.Cat, pool, model)
+				est.NoFastPath = noFastPath
+				ops := 0
+				start := time.Now()
+				for it := 0; it < cfg.Iters; it++ {
+					for _, q := range queries {
+						r := est.NewRun(q)
+						r.GetSelectivity(q.All())
+						r.Release()
+						ops++
 					}
-					return float64(time.Since(start).Nanoseconds()) / float64(ops),
-						int64(pool.MatchCalls())
 				}
-				cell.BaselineNsPerOp, cell.BaselineMatchCalls = variant(true)
-				cell.OptimizedNsPerOp, cell.OptimizedMatchCalls = variant(false)
-				cell.Speedup = cell.BaselineNsPerOp / cell.OptimizedNsPerOp
-				cell.CachedNsPerOp, cell.CachedAllocsPerOp, cell.CachedBytesPerOp =
-					cachedVariant(e, pool, model, exhaustive, queries, cfg)
-				report.Cells = append(report.Cells, cell)
+				return float64(time.Since(start).Nanoseconds()) / float64(ops),
+					int64(pool.MatchCalls())
 			}
+			cell.BaselineNsPerOp, cell.BaselineMatchCalls = variant(true)
+			cell.OptimizedNsPerOp, cell.OptimizedMatchCalls = variant(false)
+			cell.Speedup = cell.BaselineNsPerOp / cell.OptimizedNsPerOp
+			cell.CachedNsPerOp, cell.CachedAllocsPerOp, cell.CachedBytesPerOp =
+				cachedVariant(e, pool, model, queries, cfg)
+			report.Cells = append(report.Cells, cell)
 		}
 	}
 	st := core.HistJoinCacheStats()
@@ -174,11 +165,10 @@ func (e *Env) DPBench(cfg DPBenchConfig) DPBenchReport {
 // window only, so a GC cycle can neither smear the timing nor hide an
 // allocation; the iteration count is floored at 200 ops to keep the per-op
 // division out of measurement noise.
-func cachedVariant(e *Env, pool *sit.Pool, model core.ErrorModel, exhaustive bool,
+func cachedVariant(e *Env, pool *sit.Pool, model core.ErrorModel,
 	queries []*engine.Query, cfg DPBenchConfig) (nsPerOp, allocsPerOp, bytesPerOp float64) {
 	core.ResetHistJoinCache()
 	est := core.NewEstimator(e.DB.Cat, pool, model)
-	est.Exhaustive = exhaustive
 	est.Cache = core.NewSelCache(1 << 16)
 
 	onePass := func() {
@@ -234,12 +224,12 @@ func WriteDPJSON(w io.Writer, r DPBenchReport) error {
 func RenderDP(w io.Writer, r DPBenchReport) {
 	fmt.Fprintf(w, "getSelectivity hot path — %d queries/size × %d iters, pool J%d (seed %d)\n\n",
 		r.Queries, r.Iters, r.PoolJoins, r.Seed)
-	fmt.Fprintf(w, "%4s %6s %12s %14s %14s %9s %12s %12s %12s %10s %10s\n",
-		"n", "model", "mode", "baseline", "optimized", "speedup",
+	fmt.Fprintf(w, "%4s %6s %14s %14s %9s %12s %12s %12s %10s %10s\n",
+		"n", "model", "baseline", "optimized", "speedup",
 		"match(base)", "match(opt)", "cached", "allocs/op", "B/op")
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%4d %6s %12s %14s %14s %8.2fx %12d %12d %12s %10.1f %10.1f\n",
-			c.N, c.Model, c.Mode,
+		fmt.Fprintf(w, "%4d %6s %14s %14s %8.2fx %12d %12d %12s %10.1f %10.1f\n",
+			c.N, c.Model,
 			time.Duration(c.BaselineNsPerOp).Round(time.Microsecond),
 			time.Duration(c.OptimizedNsPerOp).Round(time.Microsecond),
 			c.Speedup, c.BaselineMatchCalls, c.OptimizedMatchCalls,

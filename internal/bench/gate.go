@@ -46,8 +46,8 @@ func GateDP(fresh DPBenchReport, artifactPath string) error {
 	for _, c := range fresh.Cells {
 		if c.CachedAllocsPerOp != 0 {
 			violations = append(violations, fmt.Sprintf(
-				"n=%d %s/%s: cached path allocates %.1f objects/op (%.1f B/op), want 0",
-				c.N, c.Model, c.Mode, c.CachedAllocsPerOp, c.CachedBytesPerOp))
+				"n=%d %s: cached path allocates %.1f objects/op (%.1f B/op), want 0",
+				c.N, c.Model, c.CachedAllocsPerOp, c.CachedBytesPerOp))
 		}
 	}
 	if len(violations) > 0 {

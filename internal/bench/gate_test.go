@@ -26,10 +26,8 @@ func gateArtifact(t *testing.T, cells []DPBenchCell) string {
 func TestGateDP(t *testing.T) {
 	t.Parallel()
 	base := []DPBenchCell{
-		{N: 8, Model: "Diff", Mode: "exhaustive",
-			OptimizedNsPerOp: 2_000_000, CachedNsPerOp: 2_000},
-		{N: 8, Model: "nInd", Mode: "singleton",
-			OptimizedNsPerOp: 1_000_000, CachedNsPerOp: 1_500},
+		{N: 8, Model: "Diff", OptimizedNsPerOp: 2_000_000, CachedNsPerOp: 2_000},
+		{N: 8, Model: "nInd", OptimizedNsPerOp: 1_000_000, CachedNsPerOp: 1_500},
 	}
 	path := gateArtifact(t, base)
 
@@ -50,7 +48,7 @@ func TestGateDP(t *testing.T) {
 	})
 
 	t.Run("unmatched cells get the allocation check", func(t *testing.T) {
-		fresh := []DPBenchCell{{N: 12, Model: "Diff", Mode: "exhaustive",
+		fresh := []DPBenchCell{{N: 12, Model: "Diff",
 			OptimizedNsPerOp: 1, CachedNsPerOp: 1, CachedAllocsPerOp: 3}}
 		err := GateDP(DPBenchReport{Cells: fresh}, path)
 		if err == nil || !strings.Contains(err.Error(), "n=12") {

@@ -81,7 +81,7 @@ func (ce *CoupledEstimator) estimateGroup(g *Group) GroupEstimate {
 			errQ += sub.Err
 			qe = qe.Union(in.Preds)
 		}
-		selF, errF, _ := ce.Run.ApproxFactor(engine.NewPredSet(e.Pred), qe)
+		selF, errF, _ := ce.Run.ApproxFactor(e.Pred, qe)
 		cand, candSel := errF+errQ, selF*selQ
 		// Same tie-breaking as the core DP: equal-error decompositions
 		// resolve towards the larger selectivity.

@@ -92,17 +92,6 @@ func (t *MemTransport) HealAll() {
 	t.cut = make(map[[2]NodeID]bool)
 }
 
-// Isolate severs every link touching the node.
-func (t *MemTransport) Isolate(n NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for other := range t.nodes {
-		if other != n {
-			t.cut[pairKey(n, other)] = true
-		}
-	}
-}
-
 // Fetch implements Transport.
 func (t *MemTransport) Fetch(ctx context.Context, from, peer NodeID) (*Frame, error) {
 	if err := ctx.Err(); err != nil {

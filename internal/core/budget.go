@@ -158,8 +158,9 @@ func (r *Run) GreedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
 		bestErr, bestSel := math.Inf(1), 1.0
 		var bestP engine.PredSet
 		for s := uint64(set); s != 0; s &= s - 1 {
-			pp := engine.PredSet(1) << uint(bits.TrailingZeros64(s))
-			selF, errF, _ := r.approxFactor(pp, set.Minus(pp), scratch[:0])
+			i := bits.TrailingZeros64(s)
+			pp := engine.PredSet(1) << uint(i)
+			selF, errF, _ := r.approxFactor(i, set.Minus(pp), scratch[:0])
 			if errF < bestErr {
 				bestErr, bestSel, bestP = errF, selF, pp
 			}

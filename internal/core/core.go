@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 
@@ -51,15 +50,6 @@ type Estimator struct {
 	// the Opt error model and unused otherwise.
 	Oracle *engine.Evaluator
 
-	// Exhaustive makes the DP iterate over every non-empty P' ⊆ P in line
-	// 10 of Figure 3, exactly as printed in the paper (O(3ⁿ)). The default
-	// restricts P' to single predicates (O(2ⁿ·n)): with unidimensional
-	// SITs, the approximation of a multi-predicate factor chains into
-	// per-predicate approximations on grown conditioning sets, which is
-	// precisely a chain of singleton factors the DP explores anyway, so
-	// both modes return identical results (verified by property tests).
-	Exhaustive bool
-
 	// Cache, when non-nil, shares getSelectivity results across runs (and
 	// across queries): on a memo miss a run first consults the cache under
 	// the entry's canonical key — error-model name, pool generation, and
@@ -70,12 +60,12 @@ type Estimator struct {
 	// internal/selcache.
 	Cache SelCache
 
-	// NoFastPath disables the run-level hot-path machinery — the factor
-	// memo, the per-query candidate matcher, the component index and the
-	// histogram-join cache (DESIGN.md "Hot path") — and falls back to the
-	// straightforward scans. Estimates are bit-identical either way
-	// (enforced by TestCacheEquivalenceHotPath); the switch exists for
-	// benchmark baselines and equivalence tests.
+	// NoFastPath disables the run-level hot-path machinery — the per-query
+	// candidate matcher, the component index and the histogram-join cache
+	// (DESIGN.md "Hot path") — and falls back to the straightforward scans.
+	// Estimates are bit-identical either way (enforced by
+	// TestCacheEquivalenceHotPath); the switch exists for benchmark
+	// baselines and equivalence tests.
 	NoFastPath bool
 
 	// runPool recycles Run contexts across queries: NewRun draws from it
@@ -155,12 +145,10 @@ type Result struct {
 	Factors []Factor
 
 	// key canonically identifies the chosen decomposition chain; equal-
-	// error candidates tie-break on it. Singleton-head chains sort before
-	// multi-predicate heads, so the winner is always a chain both search
-	// modes explore, keeping them in exact agreement. Keys are built from
-	// structural predicate signatures (not positions), making the chosen
-	// decomposition — and so the whole Result — shareable across queries
-	// through the cross-query cache.
+	// error candidates tie-break on it. Keys are built from structural
+	// predicate signatures (not positions), making the chosen decomposition
+	// — and so the whole Result — shareable across queries through the
+	// cross-query cache.
 	key string
 }
 
@@ -175,7 +163,7 @@ type Result struct {
 // hit — a pooled run performs no allocation at all: cache keys are packed
 // integer signatures (engine.PredSig), hits are decoded into per-run arenas,
 // and all tables are reused across queries. The uncached search reuses its
-// lookup state too: the memos are flat tables (engine.FlatTable), and the
+// lookup state too: the memo is a flat table (engine.FlatTable), and the
 // component index and candidate matcher are values the run owns and
 // rebinds to each query, so a warm run allocates only its winners.
 type Run struct {
@@ -232,10 +220,7 @@ type Run struct {
 	compsBound   bool
 	matcher      sit.Matcher
 	matcherBound bool
-	sideInv      bool                           // model scores depend on sideCond only
-	filterMemo   engine.FlatTable[filterApprox] // approxFilter memo, keyed (pred, cond)
-	joinMemo     engine.FlatTable[joinApprox]   // approxJoin memo, keyed (pred, cond)
-	joinSels     map[sitPair]float64            // per-run histogram-join selectivities
+	joinSels     map[sitPair]float64 // per-run histogram-join selectivities
 
 	// frame is the positional frame every entry this run publishes to the
 	// cross-query cache shares, allocated at the first publish (cache.go).
@@ -245,11 +230,8 @@ type Run struct {
 	// only; they are needed the first time a decomposition is actually
 	// computed, never on a pure cached read, so ensureChainKeys builds
 	// them lazily and pure cache-hit runs build no strings at all.
-	chainKeys  bool
-	predKeys   []string                  // Pred.Key() per position, interned
-	headKeys   []string                  // singleton chain-key heads per position
-	multiHeads map[engine.PredSet]string // multi-predicate chain-key heads
-	predsKeys  map[engine.PredSet]string // engine.PredsKey per subset, interned
+	chainKeys bool
+	headKeys  []string // chain-key heads per position
 }
 
 type truthKey struct {
@@ -295,7 +277,6 @@ func (e *Estimator) NewRun(q *engine.Query) *Run {
 		return r
 	}
 	r.fast = true
-	r.sideInv = e.Model.SideCondInvariant()
 	if r.joinSels == nil {
 		r.joinSels = make(map[sitPair]float64, 16)
 	}
@@ -350,16 +331,10 @@ func (r *Run) reset() {
 		r.matcher.Reset(nil, nil)
 		r.matcherBound = false
 	}
-	r.sideInv = false
-	r.filterMemo.Reset()
-	r.joinMemo.Reset()
 	clear(r.joinSels)
 	r.frame = nil
 	r.chainKeys = false
-	r.predKeys = nil
 	r.headKeys = nil
-	r.multiHeads = nil
-	r.predsKeys = nil
 	for i := range r.resBuf {
 		r.resBuf[i] = Result{}
 	}
@@ -500,48 +475,50 @@ func (r *Run) compute(set engine.PredSet) *Result {
 	}
 
 	// Lines 9-17: non-separable — try atomic decompositions
-	// Sel(set) = Sel(P'|Q)·Sel(Q) and keep the most accurate. Equal-score
-	// decompositions are common (the same SITs chosen in a different
-	// order); ties break on the canonical chain key, which selects the
-	// chain with the smallest head predicate signature — the same winner
-	// in both search modes and for either positional layout of the same
-	// structural predicate set (which is what lets results be shared
-	// across queries through the selectivity cache).
+	// Sel(set) = Sel(p|set−p)·Sel(set−p) and keep the most accurate. Line
+	// 10 of Figure 3 tries every P' ⊆ set; the search tries single
+	// predicates p only (O(2ⁿ·n) instead of O(3ⁿ)). With unidimensional
+	// SITs a multi-predicate factor Sel(P'|Q) is approximated as a chain of
+	// single-predicate factors on grown conditioning sets (§3.3), which is a
+	// decomposition this search explores anyway, so it finds the same
+	// minimum (TestSingletonEqualsExhaustive and TestDPOptimality check it
+	// against the printed loop).
+	// Equal-score decompositions are common (the same SITs chosen in a
+	// different order); ties break on the canonical chain key, which
+	// selects the chain with the smallest head predicate signature — the
+	// same winner for either positional layout of the same structural
+	// predicate set (which is what lets results be shared across queries
+	// through the selectivity cache).
 	// Candidates are scored without allocating: the running best and the
 	// candidate under test are frame-local (their SITs in two stack buffers
 	// that swap with them, their chain keys held as head and remainder
 	// segments compared lazily), and only the winner's Result, factor slice,
 	// SIT slice and key are allocated after the loop.
-	var bufA, bufB [8]*sit.SIT
+	var bufA, bufB [2]*sit.SIT // a singleton factor uses at most two SITs
 	best := candidate{err: math.Inf(1), sits: bufA[:0]}
 	cur := candidate{sits: bufB[:0]}
-	try := func(pp engine.PredSet) {
-		cur.pp, cur.qq = pp, set.Minus(pp)
+	try := func(i int) {
+		cur.pp = engine.PredSet(1) << uint(i)
+		cur.qq = set.Minus(cur.pp)
 		cur.rest = r.GetSelectivity(cur.qq)
-		cur.selF, cur.errF, cur.sits = r.approxFactor(pp, cur.qq, cur.sits[:0])
+		cur.selF, cur.errF, cur.sits = r.approxFactor(i, cur.qq, cur.sits[:0])
 		cur.err = cur.errF + cur.rest.Err
 		tol := 1e-9 * (1 + math.Abs(best.err))
 		if math.IsInf(best.err, 1) || cur.err < best.err-tol ||
-			(cur.err <= best.err+tol && concatLess(r.chainHead(pp), cur.rest.key, best.head, best.rest.key)) {
-			cur.head = r.chainHead(pp)
+			(cur.err <= best.err+tol && concatLess(r.chainHead(i), cur.rest.key, best.head, best.rest.key)) {
+			cur.head = r.chainHead(i)
 			best, cur = cur, best
 		}
 	}
-	if r.Est.Exhaustive {
-		for pp := set; pp != 0; pp = (pp - 1) & set { // engine.PredSet.Subsets order
-			try(pp)
-		}
-	} else {
-		for s := uint64(set); s != 0; s &= s - 1 {
-			try(engine.PredSet(1) << uint(bits.TrailingZeros64(s)))
-		}
+	for s := uint64(set); s != 0; s &= s - 1 {
+		try(bits.TrailingZeros64(s))
 	}
 	return buildWinner(&best)
 }
 
 // candidate is one atomic decomposition Sel(pp|qq)·Sel(qq) scored by
-// compute's loop. sits points into a caller-owned stack buffer (a factor
-// needing more SITs than the buffer holds spills to the heap).
+// compute's loop, pp a single predicate. sits points into a caller-owned
+// stack buffer.
 type candidate struct {
 	pp, qq     engine.PredSet
 	rest       *Result // memoized result for qq
@@ -618,70 +595,39 @@ func (r *Run) ensureChainKeys() {
 		return
 	}
 	r.chainKeys = true
-	n := len(r.Query.Preds)
-	r.predKeys = make([]string, n)
-	r.headKeys = make([]string, n)
+	r.headKeys = make([]string, len(r.Query.Preds))
 	for i, p := range r.Query.Preds {
-		r.predKeys[i] = p.Key()
 		class := "b"
 		if p.IsJoin() {
 			class = "a"
 		}
 		//lint:ignore hotalloc cold path: chain-key heads are built once per computing run, never on a cached read
-		r.headKeys[i] = "0" + class + r.predKeys[i] + "."
+		r.headKeys[i] = "0" + class + p.Key() + "."
 	}
-	r.multiHeads = make(map[engine.PredSet]string)
-	r.predsKeys = make(map[engine.PredSet]string)
 }
 
-// chainHead encodes the head factor of a decomposition chain for canonical
-// tie-breaking: singleton heads ("0" prefix) sort before multi-predicate
-// heads ("1" prefix); the remainder chain's key follows the head (see
-// concatLess). Heads are identified by their structural predicate signature
-// rather than their position within the query, so the winning chain — and
-// therefore the whole Result — is a pure function of the structural
-// predicate set, the pool and the error model. That position independence is
-// what makes Results shareable across queries via the cross-query
-// selectivity cache.
+// chainHead encodes the head factor Sel(pred|…) of a decomposition chain
+// for canonical tie-breaking; the remainder chain's key follows the head
+// (see concatLess). Heads are identified by their structural predicate
+// signature rather than their position within the query, so the winning
+// chain — and therefore the whole Result — is a pure function of the
+// structural predicate set, the pool and the error model. That position
+// independence is what makes Results shareable across queries via the
+// cross-query selectivity cache.
 //
-// Among equal-error singleton heads, join predicates ("a" class) win over
-// filters ("b" class): the head factor carries the largest conditioning set,
-// and conditioning joins on filters (rather than the reverse) is where SITs
-// pay off — the same preference the workload's joins-first predicate layout
-// gave the old positional tie-break.
+// Among equal-error heads, join predicates ("a" class) win over filters
+// ("b" class): the head factor carries the largest conditioning set, and
+// conditioning joins on filters (rather than the reverse) is where SITs pay
+// off — the same preference the workload's joins-first predicate layout
+// gave the old positional tie-break. Every head starts with "0": when two
+// candidates' heads tie (a duplicated predicate), the comparison reaches
+// their remainder keys, where the prefix orders a chain ("0…") before a
+// separable merge ("[…"), so the prefix is part of the tie-break.
 //
-// Only compute calls chainHead, after ensureChainKeys; heads are interned
-// per run.
-func (r *Run) chainHead(pp engine.PredSet) string {
-	if pp.Len() == 1 {
-		return r.headKeys[bits.TrailingZeros64(uint64(pp))]
-	}
-	if h, ok := r.multiHeads[pp]; ok {
-		return h
-	}
-	//lint:ignore hotalloc cold path: multi-predicate heads are interned, built once per subset per run
-	h := "1" + r.predsKey(pp) + "."
-	//lint:ignore hotalloc interning write on the cold compute path only
-	r.multiHeads[pp] = h
-	return h
-}
-
-// predsKey returns engine.PredsKey(r.Query.Preds, set), interned per run
-// (Pred.Key formats strings; the DP asks for the same subsets repeatedly
-// through multi-predicate chain heads). Cold path, like chainHead.
-func (r *Run) predsKey(set engine.PredSet) string {
-	if s, ok := r.predsKeys[set]; ok {
-		return s
-	}
-	keys := make([]string, 0, set.Len())
-	for s := uint64(set); s != 0; s &= s - 1 {
-		keys = append(keys, r.predKeys[bits.TrailingZeros64(s)])
-	}
-	sort.Strings(keys)
-	s := strings.Join(keys, "&")
-	//lint:ignore hotalloc interning write on the cold compute path only
-	r.predsKeys[set] = s
-	return s
+// compute calls chainHead after ensureChainKeys; heads are interned per
+// run.
+func (r *Run) chainHead(pred int) string {
+	return r.headKeys[pred]
 }
 
 // concatLess reports whether a1+a2 < b1+b2 lexicographically, without

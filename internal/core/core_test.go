@@ -206,60 +206,76 @@ func TestSITsImproveCardinalityEstimate(t *testing.T) {
 	}
 }
 
-// TestSingletonEqualsExhaustive: the default singleton-head DP and the
-// paper's full O(3ⁿ) loop must return identical selectivities and errors
-// (see the Exhaustive field's doc comment for why).
+// TestSingletonEqualsExhaustive: the served search, which only tries
+// single-predicate heads, returns the same selectivity and error as the
+// paper's full O(3ⁿ) loop (bruteBest) on every subset of the motivating
+// fixtures, for every error model.
 func TestSingletonEqualsExhaustive(t *testing.T) {
 	t.Parallel()
+	var cases []searchCase
 	for seed := int64(10); seed < 16; seed++ {
 		f := newFixture(seed, 40, 200)
-		for _, model := range []ErrorModel{NInd{}, Diff{}} {
-			fast := NewEstimator(f.cat, f.pool(2), model)
-			slow := NewEstimator(f.cat, f.pool(2), model)
-			slow.Exhaustive = true
-			rf := fast.NewRun(f.query)
-			rs := slow.NewRun(f.query)
-			full := f.query.All()
+		cases = append(cases, searchCase{f.cat, f.query, f.pool(2)})
+	}
+	checkSearchAgainstBrute(t, cases)
+}
+
+// TestDPOptimality (Theorem 1): the memoised search with single-predicate
+// heads and the separable shortcut finds the same minimum-error
+// decomposition as bruteBest, Figure 3 as printed, on every subset of a
+// motivating fixture and of random queries, for every error model.
+func TestDPOptimality(t *testing.T) {
+	t.Parallel()
+	f := newFixture(20, 40, 200)
+	cases := []searchCase{{f.cat, f.query, f.pool(2)}}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		cat, q, pool := randomCase(rng)
+		cases = append(cases, searchCase{cat, q, pool})
+	}
+	checkSearchAgainstBrute(t, cases)
+}
+
+type searchCase struct {
+	cat  *engine.Catalog
+	q    *engine.Query
+	pool *sit.Pool
+}
+
+// checkSearchAgainstBrute compares GetSelectivity with bruteBest on every
+// non-empty subset of each case's query, for nInd, Diff and Opt.
+func checkSearchAgainstBrute(t *testing.T, cases []searchCase) {
+	t.Helper()
+	for k, c := range cases {
+		ev := engine.NewEvaluator(c.cat)
+		for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
+			est := NewEstimator(c.cat, c.pool, model)
+			est.Oracle = ev
+			r := est.NewRun(c.q)
+			full := c.q.All()
 			for set := engine.PredSet(1); set <= full; set++ {
 				if !set.SubsetOf(full) {
 					continue
 				}
-				a := rf.GetSelectivity(set)
-				b := rs.GetSelectivity(set)
-				if !close(a.Sel, b.Sel, 1e-9) || !close(a.Err, b.Err, 1e-9) {
-					t.Fatalf("seed %d model %s set %v: singleton (%v,%v) vs exhaustive (%v,%v)",
-						seed, model.Name(), set, a.Sel, a.Err, b.Sel, b.Err)
+				got := r.GetSelectivity(set)
+				wantSel, wantErr := bruteBest(r, set)
+				if !close(got.Err, wantErr, 1e-9) || !close(got.Sel, wantSel, 1e-9) {
+					t.Fatalf("case %d model %s set %v: DP (%v,%v), brute force (%v,%v)",
+						k, model.Name(), set, got.Sel, got.Err, wantSel, wantErr)
 				}
 			}
 		}
 	}
 }
 
-// TestDPOptimality (Theorem 1): the memoized DP equals a brute-force
-// minimum over all atomic-decomposition chains computed without memoization
-// and without the separable shortcut.
-func TestDPOptimality(t *testing.T) {
-	t.Parallel()
-	f := newFixture(20, 40, 200)
-	for _, model := range []ErrorModel{NInd{}, Diff{}} {
-		est := NewEstimator(f.cat, f.pool(2), model)
-		est.Exhaustive = true
-		r := est.NewRun(f.query)
-		got := r.GetSelectivity(f.query.All())
-		wantSel, wantErr := bruteBest(r, f.query.All())
-		if !close(got.Err, wantErr, 1e-9) {
-			t.Fatalf("model %s: DP err %v, brute err %v", model.Name(), got.Err, wantErr)
-		}
-		if !close(got.Sel, wantSel, 1e-9) {
-			t.Fatalf("model %s: DP sel %v, brute sel %v", model.Name(), got.Sel, wantSel)
-		}
-	}
-}
-
-// bruteBest enumerates every chain of atomic decompositions (no memo, no
-// separable shortcut) and returns the selectivity of a minimum-error chain,
-// breaking error ties on the same canonical chain key as the DP.
+// bruteBest is Figure 3 as printed: it enumerates every chain of atomic
+// decompositions Sel(P'|Q)·Sel(Q) over every non-empty P' ⊆ set (no memo, no
+// separable shortcut) and returns the selectivity and error of a
+// minimum-error chain, breaking error ties on a canonical chain key that
+// orders single-predicate heads like the DP's and multi-predicate heads after
+// them.
 func bruteBest(r *Run, set engine.PredSet) (sel, err float64) {
+	r.ensureChainKeys()
 	sel, err, _ = bruteBestKeyed(r, set)
 	return sel, err
 }
@@ -274,15 +290,40 @@ func bruteBestKeyed(r *Run, set engine.PredSet) (sel, err float64, key string) {
 	set.Subsets(func(pp engine.PredSet) {
 		qq := set.Minus(pp)
 		selQ, errQ, keyQ := bruteBestKeyed(r, qq)
-		selF, errF, _ := r.ApproxFactor(pp, qq)
+		selF, errF := chainFactor(r, pp, qq)
 		cand, candSel := errF+errQ, selF*selQ
-		candKey := r.chainHead(pp) + keyQ
+		head := "1" + engine.PredsKey(r.Query.Preds, pp) + "."
+		if pp.Len() == 1 {
+			head = r.chainHead(pp.Indices()[0])
+		}
+		candKey := head + keyQ
 		tol := 1e-9 * (1 + math.Abs(best))
 		if math.IsInf(best, 1) || cand < best-tol || (cand <= best+tol && candKey < bestKey) {
 			best, bestSel, bestKey = cand, candSel, candKey
 		}
 	})
 	return bestSel, best, bestKey
+}
+
+// chainFactor approximates the factor Sel(pp|qq) the way §3.3 chains a
+// multi-predicate factor over unidimensional SITs: join predicates first,
+// then filters, each one single-predicate ApproxFactor whose conditioning
+// set grows by the predicates already processed. Selectivities multiply and
+// errors add up.
+func chainFactor(r *Run, pp, qq engine.PredSet) (sel, err float64) {
+	sel, cond := 1.0, qq
+	for _, joins := range []bool{true, false} {
+		for _, i := range pp.Indices() {
+			if r.Query.Preds[i].IsJoin() != joins {
+				continue
+			}
+			selF, errF, _ := r.ApproxFactor(i, cond)
+			sel *= selF
+			err += errF
+			cond = cond.Add(i)
+		}
+	}
+	return sel, err
 }
 
 func TestOptModelIsBestAmongModels(t *testing.T) {

@@ -66,9 +66,8 @@ func dpBenchCaseN(n int) *dpBenchCase {
 }
 
 // BenchmarkGetSelectivity times one full-query getSelectivity run (NewRun +
-// GetSelectivity of all predicates) across query sizes, error models, both
-// search modes, and with the hot path on (default) vs off (NoFastPath
-// baseline). Opt rows stop at n=8: beyond that the run time is dominated by
+// GetSelectivity of all predicates) across query sizes and error models,
+// with the hot path on (default) vs off (NoFastPath baseline). Opt rows stop at n=8: beyond that the run time is dominated by
 // oracle ground-truth evaluation rather than the DP being measured.
 func BenchmarkGetSelectivity(b *testing.B) {
 	for _, n := range []int{6, 8, 10, 12} {
@@ -78,28 +77,21 @@ func BenchmarkGetSelectivity(b *testing.B) {
 			models = append(models, Opt{})
 		}
 		for _, model := range models {
-			for _, exhaustive := range []bool{false, true} {
-				mode := "singleton"
-				if exhaustive {
-					mode = "exhaustive"
-				}
-				for _, fast := range []bool{true, false} {
-					name := fmt.Sprintf("n=%d/model=%s/mode=%s/fast=%v", n, model.Name(), mode, fast)
-					b.Run(name, func(b *testing.B) {
-						est := NewEstimator(c.cat, c.pool, model)
-						est.Exhaustive = exhaustive
-						est.NoFastPath = !fast
-						if model.Name() == "Opt" {
-							est.Oracle = c.ev
-						}
-						full := c.q.All()
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							est.NewRun(c.q).GetSelectivity(full)
-						}
-					})
-				}
+			for _, fast := range []bool{true, false} {
+				name := fmt.Sprintf("n=%d/model=%s/fast=%v", n, model.Name(), fast)
+				b.Run(name, func(b *testing.B) {
+					est := NewEstimator(c.cat, c.pool, model)
+					est.NoFastPath = !fast
+					if model.Name() == "Opt" {
+						est.Oracle = c.ev
+					}
+					full := c.q.All()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						est.NewRun(c.q).GetSelectivity(full)
+					}
+				})
 			}
 		}
 	}

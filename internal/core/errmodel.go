@@ -16,11 +16,6 @@ import (
 type ErrorModel interface {
 	Name() string
 
-	// SideCondInvariant reports whether the model's scores depend on cond
-	// only through the side component(s) of the scored predicate (see
-	// Run.sideCond). If so, the factor memo keys the model on that side.
-	SideCondInvariant() bool
-
 	// FilterError scores approximating Sel(pred|cond) with SIT h, where
 	// pred is a filter predicate of the run's query.
 	FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64
@@ -41,10 +36,6 @@ type NInd struct{}
 
 // Name implements ErrorModel.
 func (NInd) Name() string { return "nInd" }
-
-// SideCondInvariant implements ErrorModel: nIndSide reduces cond to
-// sideCond(cond, attr) before anything else.
-func (NInd) SideCondInvariant() bool { return true }
 
 // FilterError implements ErrorModel.
 func (NInd) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
@@ -88,10 +79,6 @@ type Diff struct{}
 // Name implements ErrorModel.
 func (Diff) Name() string { return "Diff" }
 
-// SideCondInvariant implements ErrorModel: diffSide reduces cond to
-// sideCond(cond, attr) before anything else, like nIndSide.
-func (Diff) SideCondInvariant() bool { return true }
-
 // FilterError implements ErrorModel.
 func (Diff) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
 	return diffSide(r, cond, r.Query.Preds[pred].Attr, h)
@@ -128,11 +115,6 @@ type Opt struct{}
 // Name implements ErrorModel.
 func (Opt) Name() string { return "Opt" }
 
-// SideCondInvariant implements ErrorModel. Opt is not side-invariant: its
-// oracle's Sel(p|Q) is 0 when Q selects no rows, so a table-disjoint
-// component of cond that selects nothing changes the truth Opt scores.
-func (Opt) SideCondInvariant() bool { return false }
-
 // FilterError implements ErrorModel.
 func (Opt) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
 	p := r.Query.Preds[pred]
@@ -141,7 +123,7 @@ func (Opt) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float6
 }
 
 // JoinError implements ErrorModel. The candidate pair's join estimate goes
-// through the run's histogram-join cache — it is the same join scanJoin
+// through the run's histogram-join cache — it is the same join approxJoin
 // would time for the winning pair.
 func (Opt) JoinError(r *Run, pred int, cond engine.PredSet, hl, hr *sit.SIT) float64 {
 	est := r.joinSelectivity(hl, hr)

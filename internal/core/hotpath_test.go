@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,15 +9,14 @@ import (
 	"condsel/internal/sit"
 )
 
-// TestCacheEquivalenceHotPath: the hot-path machinery (factor memo, matcher,
-// component index, histogram-join cache, interned chain keys) is a pure
-// optimization — with it on (default) and off (NoFastPath), every sub-query
-// returns bit-identical selectivity and error, and the identical chosen
+// TestCacheEquivalenceHotPath: the hot-path machinery (matcher, component
+// index, histogram-join cache, interned chain keys) is a pure optimization —
+// with it on (default) and off (NoFastPath), every sub-query returns
+// bit-identical selectivity and error, and the identical chosen
 // decomposition (via Explain's complete rendering). Checked on the
-// motivating fixture and on random databases, for all three error models in
-// both search modes. The fast-path estimator also publishes through a
-// cross-query result cache, so the equivalence covers the full cache stack
-// at once.
+// motivating fixture and on random databases, for all three error models.
+// The fast-path estimator also publishes through a cross-query result cache,
+// so the equivalence covers the full cache stack at once.
 func TestCacheEquivalenceHotPath(t *testing.T) {
 	t.Parallel()
 	shared := NewSelCache(1 << 12)
@@ -48,15 +46,12 @@ func TestCacheEquivalenceHotPath(t *testing.T) {
 	f := newFixture(11, 50, 240)
 	pool := f.pool(2)
 	for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
-		for _, ex := range []bool{false, true} {
-			est := NewEstimator(f.cat, pool, model)
-			est.Exhaustive = ex
-			est.Cache = shared
-			if model.Name() == "Opt" {
-				est.Oracle = f.ev
-			}
-			check(t, model.Name(), est, f.query)
+		est := NewEstimator(f.cat, pool, model)
+		est.Cache = shared
+		if model.Name() == "Opt" {
+			est.Oracle = f.ev
 		}
+		check(t, model.Name(), est, f.query)
 	}
 
 	rng := rand.New(rand.NewSource(4242))
@@ -64,13 +59,10 @@ func TestCacheEquivalenceHotPath(t *testing.T) {
 		cat, q, rpool := randomCaseJ(rng, 2)
 		ev := engine.NewEvaluator(cat)
 		for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
-			for _, ex := range []bool{false, true} {
-				est := NewEstimator(cat, rpool, model)
-				est.Exhaustive = ex
-				est.Cache = shared
-				est.Oracle = ev
-				check(t, model.Name(), est, q)
-			}
+			est := NewEstimator(cat, rpool, model)
+			est.Cache = shared
+			est.Oracle = ev
+			check(t, model.Name(), est, q)
 		}
 	}
 }
@@ -143,8 +135,8 @@ type factorResult struct {
 	sits     []*sit.SIT
 }
 
-func factorOf(r *Run, pp, qq engine.PredSet) factorResult {
-	sel, err, sits := r.ApproxFactor(pp, qq)
+func factorOf(r *Run, pred int, qq engine.PredSet) factorResult {
+	sel, err, sits := r.ApproxFactor(pred, qq)
 	return factorResult{sel, err, sits}
 }
 
@@ -152,26 +144,18 @@ func (a factorResult) equal(b factorResult) bool {
 	return a.sel == b.sel && a.err == b.err && slices.Equal(a.sits, b.sits)
 }
 
-// TestPropertySideCondInvariance checks the factor memo's side reduction by
-// its effect, for every error model:
+// TestPropertySideCondInvariance: NInd and Diff factors ignore conditioning
+// predicates that are table-disjoint from the scored predicate. For every
+// predicate p of a component and every qq within that component, the raw
+// scan's ApproxFactor(p, qq) is unchanged when qq is extended with
+// predicates from the other components, because pool expressions are
+// connected and anchored at the factor attribute's table, so neither
+// candidate matching nor scoring can see them. The greedy chain and
+// cascades ask factors under such conditioning sets.
 //
-//   - Through the memo: for every singleton pp and every qq ⊆ all−pp, the
-//     fast path's ApproxFactor(pp, qq) is bit-identical to the raw scan's
-//     (NoFastPath). A model that declares SideCondInvariant wrongly, or a
-//     reduction that skips the run's sideInv guard, shows up here as a
-//     memoised factor the raw scan disagrees with.
-//   - The declaration itself, on the raw scans: a side-invariant model's
-//     ApproxFactor(pp, qq) is unchanged when qq is extended with predicates
-//     from components table-disjoint from pp's, because pool expressions are
-//     connected and anchored at the factor attribute's table, so neither
-//     candidate matching nor scoring can see them. A model that declares no
-//     invariance must show a disjoint extension that changes one of its
-//     factors: Opt does, because its oracle's Sel(p|Q) is 0 when Q selects
-//     no rows.
-//
-// The cases are random disconnected queries plus emptyComponentCase. Only
-// the latter has a join factor whose truth a disjoint component changes, so
-// only it catches an unguarded reduction in approxJoin.
+// The cases are random disconnected queries plus emptyComponentCase, whose
+// disjoint component selects no rows. (Opt is not invariant there: its
+// oracle's Sel(p|Q) is 0 when Q selects no rows.)
 func TestPropertySideCondInvariance(t *testing.T) {
 	t.Parallel()
 	type dbCase struct {
@@ -188,39 +172,15 @@ func TestPropertySideCondInvariance(t *testing.T) {
 	cat, q, pool := emptyComponentCase()
 	cases = append(cases, dbCase{cat, q, pool})
 
-	for _, model := range []ErrorModel{NInd{}, Diff{}, Opt{}} {
-		factors, mismatched, changed := 0, 0, 0
-		var firstMismatch, firstChange string
+	for _, model := range []ErrorModel{NInd{}, Diff{}} {
 		for k, c := range cases {
-			full := c.q.All()
-			comps := engine.Components(c.cat, c.q.Preds, full)
+			comps := engine.Components(c.cat, c.q.Preds, c.q.All())
 			if len(comps) < 2 {
 				t.Fatalf("case %d: generator produced a connected query", k)
 			}
 			est := NewEstimator(c.cat, c.pool, model)
-			est.Oracle = engine.NewEvaluator(c.cat)
-			slow := *est
-			slow.NoFastPath = true
-			fast, raw := est.NewRun(c.q), slow.NewRun(c.q)
-
-			for i := range c.q.Preds {
-				pp := engine.NewPredSet(i)
-				rest := full.Minus(pp)
-				for qq := engine.PredSet(0); qq <= rest; qq++ {
-					if !qq.SubsetOf(rest) {
-						continue
-					}
-					factors++
-					a, b := factorOf(fast, pp, qq), factorOf(raw, pp, qq)
-					if !a.equal(b) {
-						if mismatched == 0 {
-							firstMismatch = fmt.Sprintf("case %d ApproxFactor(%v|%v): memo (%v,%v) vs raw (%v,%v)",
-								k, pp, qq, a.sel, a.err, b.sel, b.err)
-						}
-						mismatched++
-					}
-				}
-			}
+			est.NoFastPath = true
+			raw := est.NewRun(c.q)
 
 			for ci, comp := range comps {
 				var disj engine.PredSet
@@ -229,52 +189,36 @@ func TestPropertySideCondInvariance(t *testing.T) {
 						disj = disj.Union(other)
 					}
 				}
-				comp.Subsets(func(pp engine.PredSet) {
-					rest := comp.Minus(pp)
+				for _, i := range comp.Indices() {
+					rest := comp.Minus(engine.NewPredSet(i))
 					for qq := engine.PredSet(0); qq <= rest; qq++ {
 						if !qq.SubsetOf(rest) {
 							continue
 						}
-						base := factorOf(raw, pp, qq)
+						base := factorOf(raw, i, qq)
 						for _, d := range []engine.PredSet{disj, disj & (disj - 1)} {
 							if d.Empty() {
 								continue
 							}
-							if ext := factorOf(raw, pp, qq.Union(d)); !base.equal(ext) {
-								if changed == 0 {
-									firstChange = fmt.Sprintf("case %d ApproxFactor(%v|%v) = (%v,%v) but (%v|%v) = (%v,%v)",
-										k, pp, qq, base.sel, base.err, pp, qq.Union(d), ext.sel, ext.err)
-								}
-								changed++
+							if ext := factorOf(raw, i, qq.Union(d)); !base.equal(ext) {
+								t.Fatalf("%s case %d: ApproxFactor(%d|%v) = (%v,%v) but (%d|%v) = (%v,%v)",
+									model.Name(), k, i, qq, base.sel, base.err, i, qq.Union(d), ext.sel, ext.err)
 							}
 						}
 					}
-				})
+				}
 			}
-		}
-		if mismatched > 0 {
-			t.Errorf("%s: %d of %d memoised factors differ from the raw scan; first: %s",
-				model.Name(), mismatched, factors, firstMismatch)
-		}
-		switch inv := model.SideCondInvariant(); {
-		case inv && changed > 0:
-			t.Errorf("%s declares SideCondInvariant, but %d table-disjoint extensions changed a raw factor; first: %s",
-				model.Name(), changed, firstChange)
-		case !inv && changed == 0:
-			t.Errorf("%s declares no side invariance, but no table-disjoint extension changed a raw factor", model.Name())
 		}
 	}
 }
 
 // scriptedModel returns 0 for the very first candidate scored and strictly
 // positive scores afterwards — the regression scenario for the best-score
-// initialization in scanFilter/scanJoin (a 0.0-initialized running minimum
-// silently rejects a first candidate scoring exactly 0).
+// initialization in approxFilter/approxJoin (a 0.0-initialized running
+// minimum silently rejects a first candidate scoring exactly 0).
 type scriptedModel struct{ calls int }
 
 func (m *scriptedModel) Name() string { return "scripted" }
-
-func (m *scriptedModel) SideCondInvariant() bool { return false }
 
 func (m *scriptedModel) FilterError(r *Run, pred int, cond engine.PredSet, h *sit.SIT) float64 {
 	m.calls++

@@ -82,47 +82,42 @@ func answerOf(r *Run, set engine.PredSet) reuseAnswer {
 func TestPooledRunReuseChangesNoAnswer(t *testing.T) {
 	c := newReuseCase()
 	for _, model := range []ErrorModel{NInd{}, Diff{}} {
-		for _, exhaustive := range []bool{false, true} {
-			pooled := NewEstimator(c.cat, c.pool, model)
-			pooled.Exhaustive = exhaustive
-			var last *Run
-			reused := 0
-			for pass := 0; pass < 2; pass++ {
-				for qi, q := range c.queries {
-					label := fmt.Sprintf("%s exhaustive=%v pass %d query %d (n=%d)",
-						model.Name(), exhaustive, pass, qi, len(q.Preds))
-					fresh := NewEstimator(c.cat, c.pool, model)
-					fresh.Exhaustive = exhaustive
+		pooled := NewEstimator(c.cat, c.pool, model)
+		var last *Run
+		reused := 0
+		for pass := 0; pass < 2; pass++ {
+			for qi, q := range c.queries {
+				label := fmt.Sprintf("%s pass %d query %d (n=%d)", model.Name(), pass, qi, len(q.Preds))
+				fresh := NewEstimator(c.cat, c.pool, model)
 
-					before := c.pool.MatchCalls()
-					r := pooled.NewRun(q)
-					if r == last {
-						reused++
-					}
-					got := make(map[engine.PredSet]reuseAnswer)
-					full := q.All()
-					for set := engine.PredSet(1); set <= full; set++ {
-						got[set] = answerOf(r, set)
-					}
-					r.Release()
-					last = r
-					mid := c.pool.MatchCalls()
+				before := c.pool.MatchCalls()
+				r := pooled.NewRun(q)
+				if r == last {
+					reused++
+				}
+				got := make(map[engine.PredSet]reuseAnswer)
+				full := q.All()
+				for set := engine.PredSet(1); set <= full; set++ {
+					got[set] = answerOf(r, set)
+				}
+				r.Release()
+				last = r
+				mid := c.pool.MatchCalls()
 
-					rf := fresh.NewRun(q)
-					for set := engine.PredSet(1); set <= full; set++ {
-						if want := answerOf(rf, set); got[set] != want {
-							t.Fatalf("%s: set %v: pooled run %+v, fresh %+v", label, set, got[set], want)
-						}
-					}
-					rf.Release()
-					if pooledCalls, freshCalls := mid-before, c.pool.MatchCalls()-mid; pooledCalls != freshCalls {
-						t.Fatalf("%s: pooled run made %d match calls, fresh %d", label, pooledCalls, freshCalls)
+				rf := fresh.NewRun(q)
+				for set := engine.PredSet(1); set <= full; set++ {
+					if want := answerOf(rf, set); got[set] != want {
+						t.Fatalf("%s: set %v: pooled run %+v, fresh %+v", label, set, got[set], want)
 					}
 				}
+				rf.Release()
+				if pooledCalls, freshCalls := mid-before, c.pool.MatchCalls()-mid; pooledCalls != freshCalls {
+					t.Fatalf("%s: pooled run made %d match calls, fresh %d", label, pooledCalls, freshCalls)
+				}
 			}
-			if !raceEnabled && reused == 0 {
-				t.Fatalf("%s exhaustive=%v: the estimator never handed back a released run", model.Name(), exhaustive)
-			}
+		}
+		if !raceEnabled && reused == 0 {
+			t.Fatalf("%s: the estimator never handed back a released run", model.Name())
 		}
 	}
 }

@@ -23,7 +23,7 @@ type Evaluator struct {
 	compCounts map[string]float64
 	// Evaluations counts actual join evaluations (cache misses), for tests
 	// and experiment reporting. Read it only when no concurrent evaluation
-	// is in flight, or through EvaluationCount.
+	// is in flight.
 	Evaluations int
 }
 
@@ -342,14 +342,6 @@ func (e *Evaluator) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.compCounts)
-}
-
-// EvaluationCount returns the number of join evaluations performed so far;
-// unlike reading Evaluations directly, it is safe under concurrency.
-func (e *Evaluator) EvaluationCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.Evaluations
 }
 
 // ResetCache clears memoized counts and the evaluation counter.

@@ -2,13 +2,13 @@ package engine
 
 // FlatTable is a flat open-addressing hash table from a packed key pair
 // (Hi, Lo) to V. It is the per-run memo of the estimation hot path: the
-// getSelectivity DP, its factor memos, the component index and the SIT
-// matcher all key their state by a predicate set, optionally paired with a
-// predicate position or attribute, and a FlatTable answers those lookups
-// without Go map hashing, bucket chains or per-entry allocation.
+// getSelectivity DP, the component index and the SIT matcher all key their
+// state by a predicate set, optionally paired with an attribute, and a
+// FlatTable answers those lookups without Go map hashing, bucket chains or
+// per-entry allocation.
 //
 // Keys are two words so one type serves both shapes: a PredSet alone is
-// (0, set), a (position, set) pair is (position, set). Lo may be any
+// (0, set), an (attribute, set) pair is (attribute, set). Lo may be any
 // uint64; Hi must leave bit 63 clear, because the table tags occupied slots
 // with it. Slots are probed linearly in a power-of-two array that doubles
 // at three-quarters load.

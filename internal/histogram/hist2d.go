@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -259,32 +260,54 @@ func (h *Hist2D) JoinOnX(other *Histogram) (sel float64, yHist *Histogram) {
 	return sel, yHist
 }
 
-// validate2D checks structural invariants; used by tests.
-func (h *Hist2D) validate2D() error {
-	if h == nil || len(h.Cells) == 0 {
+// Validate checks the grid's structural invariants, which every estimate
+// over it indexes by: finite non-negative row totals; one x bound more than
+// there are x stripes, and one distinct count per stripe; one y bound more
+// than there are cells in each stripe; finite non-negative cells and
+// distinct counts, no stripe with more distinct x values than rows; cells
+// that sum to Rows; and strictly increasing bounds. A nil or cell-less grid
+// is valid (it estimates nothing).
+func (h *Hist2D) Validate() error {
+	if h == nil {
+		return nil
+	}
+	if math.IsNaN(h.Rows) || math.IsInf(h.Rows, 0) || h.Rows < 0 {
+		return fmt.Errorf("rows %v not finite and non-negative", h.Rows)
+	}
+	if math.IsNaN(h.TotalRows) || math.IsInf(h.TotalRows, 0) || h.TotalRows < 0 {
+		return fmt.Errorf("total rows %v not finite and non-negative", h.TotalRows)
+	}
+	if len(h.Cells) == 0 {
 		return nil
 	}
 	if len(h.XBounds) != len(h.Cells)+1 {
-		return fmt.Errorf("x bounds/cells mismatch")
+		return fmt.Errorf("%d x bounds for %d stripes", len(h.XBounds), len(h.Cells))
+	}
+	if len(h.XDistinct) != len(h.Cells) {
+		return fmt.Errorf("%d x distinct counts for %d stripes", len(h.XDistinct), len(h.Cells))
 	}
 	var total float64
 	for xi := range h.Cells {
 		if len(h.YBounds) != len(h.Cells[xi])+1 {
-			return fmt.Errorf("y bounds/cells mismatch at stripe %d", xi)
+			return fmt.Errorf("stripe %d has %d cells for %d y bounds", xi, len(h.Cells[xi]), len(h.YBounds))
 		}
 		var stripe float64
 		for _, c := range h.Cells[xi] {
-			if c < 0 {
-				return fmt.Errorf("negative cell count")
+			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+				return fmt.Errorf("stripe %d cell count %v not finite and non-negative", xi, c)
 			}
 			stripe += c
 		}
-		if h.XDistinct[xi] > stripe && stripe > 0 {
-			return fmt.Errorf("stripe %d distinct %v exceeds count %v", xi, h.XDistinct[xi], stripe)
+		d := h.XDistinct[xi]
+		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+			return fmt.Errorf("stripe %d distinct %v not finite and non-negative", xi, d)
+		}
+		if d > stripe && stripe > 0 {
+			return fmt.Errorf("stripe %d distinct %v exceeds count %v", xi, d, stripe)
 		}
 		total += stripe
 	}
-	if total != h.Rows {
+	if math.Abs(total-h.Rows) > 1e-6*math.Max(1, h.Rows) {
 		return fmt.Errorf("cells sum to %v, Rows = %v", total, h.Rows)
 	}
 	for i := 1; i < len(h.XBounds); i++ {

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestBuild2DBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.validate2D(); err != nil {
+	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if h.Rows != 5000 {
@@ -222,5 +223,40 @@ func TestHist2DTotalRowsNormalization(t *testing.T) {
 	selWithout, _ := h.JoinOnX(other)
 	if absF(selWith*2-selWithout) > 1e-12 {
 		t.Fatalf("TotalRows should halve the selectivity: %v vs %v", selWith, selWithout)
+	}
+}
+
+// TestHist2DValidateRejectsMalformedGrids: every corruption that would make
+// an estimate index past a slice, or read a non-finite count, is reported as
+// an error rather than a panic.
+func TestHist2DValidateRejectsMalformedGrids(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name    string
+		corrupt func(h *Hist2D)
+	}{
+		{"ragged cells row", func(h *Hist2D) { h.Cells[1] = h.Cells[1][:len(h.Cells[1])-1] }},
+		{"x distinct cut to one entry", func(h *Hist2D) { h.XDistinct = h.XDistinct[:1] }},
+		{"x bounds cut to two entries", func(h *Hist2D) { h.XBounds = h.XBounds[:2] }},
+		{"NaN cell", func(h *Hist2D) { h.Cells[0][0] = math.NaN() }},
+		{"infinite distinct count", func(h *Hist2D) { h.XDistinct[0] = math.Inf(1) }},
+		{"negative total rows", func(h *Hist2D) { h.TotalRows = -1 }},
+	}
+	for _, c := range cases {
+		xs, ys := corrPairs(rand.New(rand.NewSource(3)), 2000, 500)
+		h, err := Build2D(xs, ys, 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("built grid invalid: %v", err)
+		}
+		if len(h.Cells) < 2 {
+			t.Fatalf("want at least 2 x stripes, got %d", len(h.Cells))
+		}
+		c.corrupt(h)
+		if err := h.Validate(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }

@@ -447,9 +447,6 @@ func (s *Server) Serve(ln net.Listener) error {
 // keep running. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown gracefully stops the server: stop admitting, wait for in-flight
 // requests up to the drain deadline (or ctx, whichever is sooner), then close
 // the listener. Final-checkpoint flushing belongs to the process that owns

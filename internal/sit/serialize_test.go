@@ -2,6 +2,7 @@ package sit
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -118,5 +119,66 @@ func TestPool2DSerializationRoundTrip(t *testing.T) {
 	s2, h2 := rest.Hist.JoinOnX(other.Hist)
 	if s1 != s2 || h1.EstimateRange(0, 500) != h2.EstimateRange(0, 500) {
 		t.Fatalf("2-D derivation changed after round trip")
+	}
+}
+
+// TestReadPoolQuarantinesMalformed2D: a snapshot whose 2-D histogram is
+// structurally broken loads without it. The SIT is not added, and the pool
+// records why, as it does for a broken 1-D histogram. Each corruption below
+// used to load and then panic, or silently skew, the first estimate that
+// derived a statistic from it.
+func TestReadPoolQuarantinesMalformed2D(t *testing.T) {
+	t.Parallel()
+	cat, a := shopDB(rand.New(rand.NewSource(54)), 200)
+	b := NewBuilder(cat)
+	pool := NewPool(cat)
+	pool.Add(b.BuildBase(a["o.price"]))
+	s2d, err := b.Build2D(a["o.id"], a["o.price"], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pool.Add2D(s2d) {
+		t.Fatal("valid 2-D SIT rejected")
+	}
+	var buf bytes.Buffer
+	if err := pool.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(h *hist2DSnapshot)
+	}{
+		{"ragged cells row", func(h *hist2DSnapshot) { h.Cells[1] = h.Cells[1][:len(h.Cells[1])-1] }},
+		{"x distinct cut to one entry", func(h *hist2DSnapshot) { h.XDistinct = h.XDistinct[:1] }},
+		{"x bounds cut to two entries", func(h *hist2DSnapshot) { h.XBounds = h.XBounds[:2] }},
+	}
+	for _, c := range cases {
+		var snap poolSnapshot
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.SITs2D) != 1 || len(snap.SITs2D[0].Hist.Cells) < 2 {
+			t.Fatalf("want one 2-D SIT with at least 2 x stripes in the snapshot")
+		}
+		c.corrupt(&snap.SITs2D[0].Hist)
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadPool(cat, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if loaded.Size2D() != 0 {
+			t.Errorf("%s: Size2D = %d, want 0", c.name, loaded.Size2D())
+		}
+		h := loaded.HealthSnapshot()
+		if h.Quarantined != 1 || h.Records[0].ID != s2d.ID() || h.Records[0].Reason == "" {
+			t.Errorf("%s: quarantine records %+v, want one for %s with a reason", c.name, h.Records, s2d.ID())
+		}
+		if loaded.Size() != pool.Size() {
+			t.Errorf("%s: %d 1-D SITs loaded, want %d", c.name, loaded.Size(), pool.Size())
+		}
 	}
 }

@@ -128,10 +128,17 @@ func gridDims(buckets int) (xDim, yDim int) {
 	return xDim, yDim
 }
 
-// Add2D inserts a 2-D SIT unless an identical one is present.
+// Add2D inserts a 2-D SIT unless an identical one is present; it reports
+// whether the SIT was added. Like Add, it checks the histogram first: a grid
+// that fails Hist2D.Validate is not added; it is recorded as quarantined
+// with the reason, so Health surfaces the rejection.
 func (p *Pool) Add2D(s *SIT2D) bool {
 	id := s.ID()
 	if _, dup := p.byID2D[id]; dup {
+		return false
+	}
+	if err := s.Hist.Validate(); err != nil {
+		p.quarantine(id, "histogram: "+err.Error())
 		return false
 	}
 	if p.byID2D == nil {
