@@ -2,9 +2,9 @@
 // (internal/analysis) over the module: project-specific invariants — no
 // order-dependent map iteration in DP code, lock discipline, deterministic
 // estimation code, allocation-free hot paths (hotalloc), recoveries that
-// record a fallback reason (ladderguard), arena lifetimes (userelease),
-// context threading (ctxflow) and goroutine exit (goleak) — checked with the
-// standard library's go/ast and go/types only.
+// record a fallback reason (ladderguard), context threading (ctxflow) and
+// goroutine exit (goleak) — checked with the standard library's go/ast and
+// go/types only.
 //
 // The suite is interprocedural: all target packages are analyzed in one
 // session, dependency-first, so function summaries ("facts") exported by one

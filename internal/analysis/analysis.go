@@ -1,18 +1,16 @@
 // Package analysis is a static-analysis framework over the standard
 // library's go/ast and go/types, purpose-built for this module's project
 // invariants (bit-identical DP scans, lock-ordering discipline,
-// deterministic estimation code, arena lifetime and shutdown contracts). It
-// deliberately mirrors the shape of golang.org/x/tools/go/analysis — an
-// Analyzer with a Name, a Doc and a Run over a type-checked Pass — without
-// importing anything outside the standard library, so the module keeps its
-// zero-dependency go.mod.
+// deterministic estimation code, context threading and shutdown
+// contracts). It deliberately mirrors the shape of
+// golang.org/x/tools/go/analysis — an Analyzer with a Name, a Doc and a Run
+// over a type-checked Pass — without importing anything outside the
+// standard library, so the module keeps its zero-dependency go.mod.
 //
 // Since PR 8 the framework is interprocedural: packages are analyzed in
 // dependency order inside a Session that carries a module-wide call graph
-// (callgraph.go), per-function control-flow graphs (cfg.go), a generic
-// forward/backward dataflow solver (dataflow.go) and a fact store
-// (facts.go) through which analyzers export per-function summaries that
-// compose across package boundaries.
+// (callgraph.go) and a fact store (facts.go) through which analyzers export
+// per-function summaries that compose across package boundaries.
 //
 // Analyzers report Diagnostics with file:line positions. A finding can be
 // suppressed at the source line (or the line above it) with
@@ -194,10 +192,10 @@ func inScope(path string, scope []string) bool {
 	return false
 }
 
-// moduleWideScope is the scope rule of the whole-program analyzers
-// (userelease, goleak): every module package is analyzed except
-// the fixture packages of *other* analyzers, whose deliberate violations
-// would otherwise bleed into single-analyzer fixture runs.
+// moduleWideScope is the scope rule of the whole-program analyzer goleak:
+// every module package is analyzed except the fixture packages of *other*
+// analyzers, whose deliberate violations would otherwise bleed into
+// single-analyzer fixture runs.
 func moduleWideScope(path, self string) bool {
 	if !strings.Contains(path, "testdata/src/") {
 		return true

@@ -44,11 +44,6 @@ func TestHotAllocFixture(t *testing.T) {
 	testFixture(t, "hotalloc", []Analyzer{NewHotAlloc()})
 }
 
-func TestUseReleaseFixture(t *testing.T) {
-	t.Parallel()
-	testFixture(t, "userelease", []Analyzer{NewUseRelease()})
-}
-
 func TestCtxFlowFixture(t *testing.T) {
 	t.Parallel()
 	testFixture(t, "ctxflow", []Analyzer{NewCtxFlow()})

@@ -72,6 +72,16 @@ func (b *runBudget) poll() {
 	}
 }
 
+// context is what the run's waits select on: the budget's context, so a
+// wait ends at the run's deadline. NewRun supplies no context, so a run
+// without one gets context.TODO, which is never done.
+func (b *runBudget) context() context.Context {
+	if b == nil || b.ctx == nil {
+		return context.TODO()
+	}
+	return b.ctx
+}
+
 func (b *runBudget) checkCtx() {
 	if b.ctx == nil {
 		return
@@ -116,10 +126,7 @@ func RecoverFallbackReason(fallbackReason *string) {
 // Guarded entry points apply it before returning, and cachePut applies it
 // before publishing, so a poisoned value can neither be served to a caller
 // nor parked in the cross-query cache.
-func invalidResult(res *Result) string {
-	if res == nil {
-		return "nil result"
-	}
+func invalidResult(res Result) string {
 	if math.IsNaN(res.Sel) || math.IsInf(res.Sel, 0) || res.Sel < 0 || res.Sel > 1 {
 		return fmt.Sprintf("selectivity %v outside [0,1]", res.Sel)
 	}
@@ -132,13 +139,13 @@ func invalidResult(res *Result) string {
 // SelectivityGuarded runs the full DP for the set under the run's budget
 // with panic isolation. On success fallbackReason is "" and res is the
 // validated result; on abort, injected fault, panic or invariant violation,
-// res is nil and fallbackReason says why — the caller's cue to descend the
-// degradation ladder.
-func (r *Run) SelectivityGuarded(set engine.PredSet) (res *Result, fallbackReason string) {
+// res is the zero Result and fallbackReason says why — the caller's cue to
+// descend the degradation ladder.
+func (r *Run) SelectivityGuarded(set engine.PredSet) (res Result, fallbackReason string) {
 	defer RecoverFallbackReason(&fallbackReason)
 	out := r.GetSelectivity(set)
 	if reason := invalidResult(out); reason != "" {
-		return nil, reason
+		return Result{}, reason
 	}
 	return out, ""
 }

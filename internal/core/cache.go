@@ -39,13 +39,13 @@ func NewSelCache(capacity int) *SelCacheStore {
 	return selcache.New[CacheKey, CacheEntry](capacity, CacheKeyHash)
 }
 
-// CacheEntry is a published Result, shared across queries through
+// CacheEntry is a published decomposition, shared across queries through
 // Estimator.Cache without copying it. Sel, Err and the canonical chain key
 // are position-independent by construction (see chainHead). Set and the
 // factors' P/Q masks are predicate positions of the publishing run's query,
 // which Frame records: its canonical predicates, and the order that sorts
-// them. Factors is the computed Result's own factor slice (see Result for
-// the invariant that makes sharing it safe).
+// them. The factors are the computed decomposition's own slice (see decomp
+// for the invariant that makes sharing it safe).
 //
 // A hit decodes positions through canonical order: the publishing run's
 // members of Set and the reading run's members of its own set, each walked
@@ -57,11 +57,9 @@ func NewSelCache(capacity int) *SelCacheStore {
 // the reading run would have computed itself, even when the same
 // structural predicate set sits at different positions in the two queries.
 type CacheEntry struct {
-	Sel, Err float64
-	Key      string
-	Set      engine.PredSet // the entry's predicates, as positions in Frame
-	Factors  []Factor       // shared with the published Result; never mutated
-	Frame    *CacheFrame
+	decomp                // the published decomposition; its factors are shared, never mutated
+	Set    engine.PredSet // the entry's predicates, as positions in Frame
+	Frame  *CacheFrame
 }
 
 // CacheFrame is the positional frame of one publishing run's entries: its
@@ -104,7 +102,7 @@ func (r *Run) canonPositions(set engine.PredSet, pos *[64]uint8) int {
 // verifies the hit's canonical predicates against the run's own (collision
 // check), and decodes it into positional form in the run's arenas. The
 // whole path is allocation-free.
-func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
+func (r *Run) cacheGet(set engine.PredSet) (*decomp, bool) {
 	if r.Est.Cache == nil || set.Empty() {
 		return nil, false
 	}
@@ -140,18 +138,18 @@ func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
 	if rank != k {
 		return nil, false
 	}
-	for _, fac := range e.Factors {
+	for _, fac := range e.factors {
 		// Defensive: a malformed entry (a factor mask outside the entry's
 		// set, impossible under the encoding) is a miss, never served.
 		if !fac.P.SubsetOf(e.Set) || !fac.Q.SubsetOf(e.Set) {
 			return nil, false
 		}
 	}
-	res := r.newResult()
-	res.Sel, res.Err, res.key = e.Sel, e.Err, e.Key
-	if len(e.Factors) > 0 {
-		factors := r.newFactors(len(e.Factors))
-		for fi, fac := range e.Factors {
+	d := r.newDecomp()
+	d.Result, d.key = e.Result, e.key
+	if len(e.factors) > 0 {
+		factors := r.newFactors(len(e.factors))
+		for fi, fac := range e.factors {
 			var p, q engine.PredSet
 			for m := uint64(fac.P); m != 0; m &= m - 1 {
 				p = p.Add(int(toRun[bits.TrailingZeros64(m)]))
@@ -159,25 +157,25 @@ func (r *Run) cacheGet(set engine.PredSet) (*Result, bool) {
 			for m := uint64(fac.Q); m != 0; m &= m - 1 {
 				q = q.Add(int(toRun[bits.TrailingZeros64(m)]))
 			}
-			factors[fi] = Factor{P: p, Q: q, Sel: fac.Sel, Err: fac.Err, SITs: fac.SITs}
+			factors[fi] = factor{P: p, Q: q, Sel: fac.Sel, Err: fac.Err, SITs: fac.SITs}
 		}
-		res.Factors = factors
+		d.factors = factors
 	}
-	return res, true
+	return d, true
 }
 
-// cachePut publishes a freshly computed result under its canonical key.
-// Invalid results — NaN or out-of-range selectivities, e.g. under an armed
-// NaNSelectivity fault — are never published: the cross-query cache is
-// shared state, and one poisoned entry would outlive the failure that
+// cachePut publishes a freshly computed decomposition under its canonical
+// key. Invalid results — NaN or out-of-range selectivities, e.g. under an
+// armed NaNSelectivity fault — are never published: the cross-query cache
+// is shared state, and one poisoned entry would outlive the failure that
 // produced it. It runs once per computed subset, which on a stream of
 // distinct queries is about 200 times per request, so it copies nothing:
-// the entry shares the result's factor slice and names its predicates as
-// positions in the run's frame, which the run allocates once, at its first
-// publish. The selcache Put behind it updates its shard in place and
-// allocates nothing once the shard is full.
-func (r *Run) cachePut(set engine.PredSet, res *Result) {
-	if r.Est.Cache == nil || set.Empty() || invalidResult(res) != "" {
+// the entry shares the decomposition's factor slice and names its
+// predicates as positions in the run's frame, which the run allocates once,
+// at its first publish. The selcache Put behind it updates its shard in
+// place and allocates nothing once the shard is full.
+func (r *Run) cachePut(set engine.PredSet, d *decomp) {
+	if r.Est.Cache == nil || set.Empty() || invalidResult(d.Result) != "" {
 		return
 	}
 	if r.frame == nil {
@@ -187,8 +185,5 @@ func (r *Run) cachePut(set engine.PredSet, res *Result) {
 		copy(f.Order, r.canonOrder)
 		r.frame = f
 	}
-	r.Est.Cache.Put(r.cacheKey(set), CacheEntry{
-		Sel: res.Sel, Err: res.Err, Key: res.key,
-		Set: set, Factors: res.Factors, Frame: r.frame,
-	})
+	r.Est.Cache.Put(r.cacheKey(set), CacheEntry{decomp: *d, Set: set, Frame: r.frame})
 }

@@ -29,24 +29,26 @@ func TestCacheCollisionFallback(t *testing.T) {
 			Order: append([]uint8(nil), r.canonOrder...),
 		}
 	}
+	bogus := decomp{Result: Result{Sel: 0.123}, key: "bogus"}
 	poisons := map[string]func(r *Run) CacheEntry{
 		"wrong-length": func(r *Run) CacheEntry {
 			// One predicate short of the looked-up set.
-			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full &^ 1, Frame: frameOf(r)}
+			return CacheEntry{decomp: bogus, Set: full &^ 1, Frame: frameOf(r)}
 		},
 		"wrong-pred": func(r *Run) CacheEntry {
 			// Right cardinality, one predicate altered: the rank-by-rank
 			// canonical comparison has to catch it.
 			f := frameOf(r)
 			f.Preds[f.Order[len(f.Order)-1]].Lo++
-			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full, Frame: f}
+			return CacheEntry{decomp: bogus, Set: full, Frame: f}
 		},
 		"bad-factor-mask": func(r *Run) CacheEntry {
 			// Correct predicates but a factor mask naming a position outside
 			// the entry's set: decode must check and miss rather than map a
 			// position it never paired.
-			return CacheEntry{Sel: 0.123, Key: "bogus", Set: full, Frame: frameOf(r),
-				Factors: []Factor{{P: engine.PredSet(1) << uint(full.Len()), Sel: 0.5}}}
+			d := bogus
+			d.factors = []factor{{P: engine.PredSet(1) << uint(full.Len()), Sel: 0.5}}
+			return CacheEntry{decomp: d, Set: full, Frame: frameOf(r)}
 		},
 	}
 
@@ -68,8 +70,8 @@ func TestCacheCollisionFallback(t *testing.T) {
 			if !ok {
 				t.Fatal("correct entry was not republished after collision miss")
 			}
-			if e.Sel != want || e.Key == "bogus" {
-				t.Fatalf("republished entry still poisoned: sel=%v key=%q", e.Sel, e.Key)
+			if e.Sel != want || e.key == "bogus" {
+				t.Fatalf("republished entry still poisoned: sel=%v key=%q", e.Sel, e.key)
 			}
 			r.Release()
 

@@ -94,18 +94,50 @@ func NewEstimator(cat *engine.Catalog, pool *sit.Pool, model ErrorModel) *Estima
 	}
 }
 
-// Factor is one approximated conditional factor Sel(P|Q) of the chosen
+// Result is getSelectivity's answer for one predicate set, the pair that
+// Figure 3 returns: the estimated selectivity and the aggregated error of
+// the chosen decomposition. It is a plain value and borrows nothing from the
+// run, so it stays valid after Release.
+type Result struct {
+	Sel float64
+	Err float64
+}
+
+// decomp is the chosen decomposition behind a Result: its factors (most
+// recently applied first) and its canonical chain key. It is what the memo
+// and the cross-query cache hold, and it never leaves this package:
+// decompositions decoded from a cache hit live in the run's arenas and die
+// at Release.
+//
+// factors is read-only, and the cross-query cache relies on it: a published
+// CacheEntry shares its decomposition's factor slice rather than copying
+// it. That is safe under one invariant, which this package holds to. Only
+// computed decompositions are published, and those are heap-allocated
+// winners (buildWinner, mergeSeparable) that nothing mutates after they are
+// built. Arena-backed decompositions are never published.
+type decomp struct {
+	Result
+	factors []factor
+
+	// key canonically identifies the chosen decomposition chain; equal-
+	// error candidates tie-break on it. Keys are built from structural
+	// predicate signatures (not positions), making the chosen decomposition
+	// shareable across queries through the cross-query cache.
+	key string
+}
+
+// factor is one approximated conditional factor Sel(P|Q) of a chosen
 // decomposition, together with the SITs that approximate it (nil entries
 // mark fallback guesses).
-type Factor struct {
+type factor struct {
 	P, Q engine.PredSet
 	Sel  float64
 	Err  float64
 	SITs []*sit.SIT
 }
 
-// Format renders the factor in the paper's Sel(P|Q) notation.
-func (f Factor) Format(q *engine.Query) string {
+// format renders the factor in the paper's Sel(P|Q) notation.
+func (f factor) format(q *engine.Query) string {
 	var sb strings.Builder
 	sb.WriteString("Sel(")
 	sb.WriteString(engine.FormatPreds(q.Cat, q.Preds, f.P))
@@ -126,30 +158,6 @@ func (f Factor) Format(q *engine.Query) string {
 		fmt.Fprintf(&sb, "  using %s", strings.Join(names, ", "))
 	}
 	return sb.String()
-}
-
-// Result is the outcome of getSelectivity for one predicate set: the
-// estimated selectivity, the aggregated error of the chosen decomposition,
-// and the decomposition's factors (most recently applied first).
-//
-// Factors is read-only, and the cross-query cache relies on it: a
-// published CacheEntry shares its Result's factor slice rather than copying
-// it. That is safe under one invariant, which this package holds to. Only
-// computed results are published, and those are heap-allocated winners
-// (buildWinner, mergeSeparable) that nothing mutates after they are built.
-// Results decoded from a cache hit live in the run's arenas and are never
-// published. No code outside this package reads Result.Factors.
-type Result struct {
-	Sel     float64
-	Err     float64
-	Factors []Factor
-
-	// key canonically identifies the chosen decomposition chain; equal-
-	// error candidates tie-break on it. Keys are built from structural
-	// predicate signatures (not positions), making the chosen decomposition
-	// — and so the whole Result — shareable across queries through the
-	// cross-query cache.
-	key string
 }
 
 // Run is the per-query state of getSelectivity: the memoization table of
@@ -176,7 +184,7 @@ type Run struct {
 	// "decomposition analysis" remainder of the run time.
 	HistNanos int64
 
-	memo        engine.FlatTable[*Result] // keyed (0, set)
+	memo        engine.FlatTable[*decomp] // keyed (0, set)
 	truthMemo   map[truthKey]float64      // Opt ground truth, nil until used
 	derivedMemo map[string]*sit.SIT       // Example 3 derivations, nil until used
 
@@ -202,12 +210,12 @@ type Run struct {
 	predTables []engine.TableSet
 	canonOrder []uint8
 
-	// Arenas for cache-hit decoding (newResult/newFactors): Results and
-	// Factors are carved out of pooled chunks, so the cached read path
+	// Arenas for cache-hit decoding (newDecomp/newFactors): decompositions
+	// and factors are carved out of pooled chunks, so the cached read path
 	// allocates nothing in steady state. Chunks grow by abandonment — a
 	// full chunk stays referenced by the memo and a larger one is started.
-	resBuf []Result
-	facBuf []Factor
+	decBuf []decomp
+	facBuf []factor
 
 	// fast mirrors !Estimator.NoFastPath: the run-level hot-path machinery
 	// below is live. (Pooled tables stay allocated either way; fast is the
@@ -293,11 +301,12 @@ func (e *Estimator) getRun() *Run {
 }
 
 // Release resets the run and returns it to its estimator's pool, where the
-// next NewRun reuses its tables and arenas. It must be the caller's
-// LAST use of the run and of every *Result obtained from it: cache-hit
-// results live in the run's arenas. Releasing is optional (an unreleased
-// run is ordinary garbage) and must happen at most once; Release on a nil
-// or never-pooled run is a no-op.
+// next NewRun reuses its tables and arenas. It must be the caller's LAST
+// use of the run; Results obtained from it are values and outlive it.
+// Releasing is optional (an unreleased run is ordinary garbage). Release on
+// a nil or never-pooled run is a no-op, and so is a second Release, until
+// the pool hands the run to the next NewRun: from then on a stale handle is
+// the new owner's run.
 func (r *Run) Release() {
 	if r == nil || r.Est == nil {
 		return
@@ -312,9 +321,9 @@ func (r *Run) Release() {
 
 // reset clears everything query-specific while keeping table and array
 // capacity, in time proportional to what the query used. Pointer-bearing
-// state (SITs, results, the estimator and query themselves) is nilled or
-// zeroed so a parked run pins nothing; the component index holds no
-// pointers and is rebound on its next use.
+// state (SITs, decompositions, the estimator and query themselves) is
+// nilled or zeroed so a parked run pins nothing; the component index holds
+// no pointers and is rebound on its next use.
 func (r *Run) reset() {
 	r.Est = nil
 	r.Query = nil
@@ -335,12 +344,12 @@ func (r *Run) reset() {
 	r.frame = nil
 	r.chainKeys = false
 	r.headKeys = nil
-	for i := range r.resBuf {
-		r.resBuf[i] = Result{}
+	for i := range r.decBuf {
+		r.decBuf[i] = decomp{}
 	}
-	r.resBuf = r.resBuf[:0]
+	r.decBuf = r.decBuf[:0]
 	for i := range r.facBuf {
-		r.facBuf[i] = Factor{}
+		r.facBuf[i] = factor{}
 	}
 	r.facBuf = r.facBuf[:0]
 }
@@ -373,27 +382,27 @@ func growUint8(s []uint8, n int) []uint8 {
 	return s[:n]
 }
 
-// newResult carves one zeroed Result out of the run's arena. The pointer
-// stays valid until Release: a full chunk is abandoned to its existing
-// referents (the memo) and a larger chunk started, so grown arenas never
-// move live results.
-func (r *Run) newResult() *Result {
-	if len(r.resBuf) == cap(r.resBuf) {
-		c := 2 * cap(r.resBuf)
+// newDecomp carves one zeroed decomposition out of the run's arena. The
+// pointer stays valid until Release: a full chunk is abandoned to its
+// existing referents (the memo) and a larger chunk started, so grown arenas
+// never move live decompositions.
+func (r *Run) newDecomp() *decomp {
+	if len(r.decBuf) == cap(r.decBuf) {
+		c := 2 * cap(r.decBuf)
 		if c < 64 {
 			c = 64
 		}
-		r.resBuf = make([]Result, 0, c)
+		r.decBuf = make([]decomp, 0, c)
 	}
-	r.resBuf = r.resBuf[:len(r.resBuf)+1]
-	res := &r.resBuf[len(r.resBuf)-1]
-	*res = Result{}
-	return res
+	r.decBuf = r.decBuf[:len(r.decBuf)+1]
+	d := &r.decBuf[len(r.decBuf)-1]
+	*d = decomp{}
+	return d
 }
 
-// newFactors carves a full-capacity slice of n zeroed Factors out of the
-// run's arena (same lifetime rules as newResult).
-func (r *Run) newFactors(n int) []Factor {
+// newFactors carves a full-capacity slice of n zeroed factors out of the
+// run's arena (same lifetime rules as newDecomp).
+func (r *Run) newFactors(n int) []factor {
 	if n == 0 {
 		return nil
 	}
@@ -402,13 +411,13 @@ func (r *Run) newFactors(n int) []Factor {
 		if c < 256 {
 			c = 256
 		}
-		r.facBuf = make([]Factor, 0, c)
+		r.facBuf = make([]factor, 0, c)
 	}
 	start := len(r.facBuf)
 	r.facBuf = r.facBuf[:start+n]
 	f := r.facBuf[start : start+n : start+n]
 	for i := range f {
-		f[i] = Factor{}
+		f[i] = factor{}
 	}
 	return f
 }
@@ -416,21 +425,28 @@ func (r *Run) newFactors(n int) []Factor {
 // GetSelectivity implements Figure 3: it returns the most accurate
 // estimation of Sel(set) together with its error, memoizing every sub-result
 // so later requests for sub-queries are free.
-func (r *Run) GetSelectivity(set engine.PredSet) *Result {
+func (r *Run) GetSelectivity(set engine.PredSet) Result {
+	return r.decompose(set).Result
+}
+
+// decompose is GetSelectivity's memoized lookup: it returns the chosen
+// decomposition of set from the memo, the cross-query cache or a fresh
+// computation, in that order.
+func (r *Run) decompose(set engine.PredSet) *decomp {
 	if !set.SubsetOf(r.Query.All()) {
 		panic("core: predicate set outside the query")
 	}
-	if res, ok := r.memo.Get(0, uint64(set)); ok {
-		return res
+	if d, ok := r.memo.Get(0, uint64(set)); ok {
+		return d
 	}
-	if res, ok := r.cacheGet(set); ok {
-		r.memo.Put(0, uint64(set), res)
-		return res
+	if d, ok := r.cacheGet(set); ok {
+		r.memo.Put(0, uint64(set), d)
+		return d
 	}
-	res := r.compute(set)
-	r.memo.Put(0, uint64(set), res)
-	r.cachePut(set, res)
-	return res
+	d := r.compute(set)
+	r.memo.Put(0, uint64(set), d)
+	r.cachePut(set, d)
+	return d
 }
 
 // compsFor returns the run's component index, binding it to the query on
@@ -463,10 +479,10 @@ func (r *Run) components(set engine.PredSet) []engine.PredSet {
 	return engine.Components(r.Query.Cat, r.Query.Preds, set)
 }
 
-func (r *Run) compute(set engine.PredSet) *Result {
+func (r *Run) compute(set engine.PredSet) *decomp {
 	r.budget.node()
 	if set.Empty() {
-		return &Result{Sel: 1, Err: 0}
+		return &decomp{Result: Result{Sel: 1, Err: 0}}
 	}
 	r.ensureChainKeys()
 	comps := r.components(set)
@@ -492,15 +508,15 @@ func (r *Run) compute(set engine.PredSet) *Result {
 	// Candidates are scored without allocating: the running best and the
 	// candidate under test are frame-local (their SITs in two stack buffers
 	// that swap with them, their chain keys held as head and remainder
-	// segments compared lazily), and only the winner's Result, factor slice,
-	// SIT slice and key are allocated after the loop.
+	// segments compared lazily), and only the winner's decomposition, factor
+	// slice, SIT slice and key are allocated after the loop.
 	var bufA, bufB [2]*sit.SIT // a singleton factor uses at most two SITs
 	best := candidate{err: math.Inf(1), sits: bufA[:0]}
 	cur := candidate{sits: bufB[:0]}
 	try := func(i int) {
 		cur.pp = engine.PredSet(1) << uint(i)
 		cur.qq = set.Minus(cur.pp)
-		cur.rest = r.GetSelectivity(cur.qq)
+		cur.rest = r.decompose(cur.qq)
 		cur.selF, cur.errF, cur.sits = r.approxFactor(i, cur.qq, cur.sits[:0])
 		cur.err = cur.errF + cur.rest.Err
 		tol := 1e-9 * (1 + math.Abs(best.err))
@@ -521,25 +537,25 @@ func (r *Run) compute(set engine.PredSet) *Result {
 // stack buffer.
 type candidate struct {
 	pp, qq     engine.PredSet
-	rest       *Result // memoized result for qq
+	rest       *decomp // memoized decomposition of qq
 	selF, errF float64
 	err        float64 // errF + rest.Err
 	sits       []*sit.SIT
 	head       string // chain-key head, set once the candidate leads
 }
 
-// buildWinner allocates the winning candidate's Result: its factor slice
-// (head factor, then the remainder's factors), an exact-size copy of its
-// SITs and its chain key.
-func buildWinner(c *candidate) *Result {
+// buildWinner allocates the winning candidate's decomposition: its factor
+// slice (head factor, then the remainder's factors), an exact-size copy of
+// its SITs and its chain key.
+func buildWinner(c *candidate) *decomp {
 	sits := make([]*sit.SIT, len(c.sits))
 	copy(sits, c.sits)
-	factors := make([]Factor, 0, 1+len(c.rest.Factors))
-	factors = append(factors, Factor{P: c.pp, Q: c.qq, Sel: c.selF, Err: c.errF, SITs: sits})
-	factors = append(factors, c.rest.Factors...)
+	factors := make([]factor, 0, 1+len(c.rest.factors))
+	factors = append(factors, factor{P: c.pp, Q: c.qq, Sel: c.selF, Err: c.errF, SITs: sits})
+	factors = append(factors, c.rest.factors...)
 	//lint:ignore hotalloc cold path: the winner's chain key is materialized once per computed subset
 	key := c.head + c.rest.key
-	return &Result{Sel: c.selF * c.rest.Sel, Err: c.err, Factors: factors, key: key}
+	return &decomp{Result: Result{Sel: c.selF * c.rest.Sel, Err: c.err}, factors: factors, key: key}
 }
 
 // mergeSeparable implements lines 4-7 of Figure 3: a separable set's
@@ -549,23 +565,23 @@ func buildWinner(c *candidate) *Result {
 // tie-breaks higher up the DP). Sorting on concatLess(a.key, "]", b.key,
 // "]") orders components exactly as sorting the bracketed strings would,
 // since every one of them starts with the same "[".
-func (r *Run) mergeSeparable(comps []engine.PredSet) *Result {
-	var stack [8]*Result
+func (r *Run) mergeSeparable(comps []engine.PredSet) *decomp {
+	var stack [8]*decomp
 	subs := stack[:0]
-	res := &Result{Sel: 1, Err: 0}
+	res := &decomp{Result: Result{Sel: 1, Err: 0}}
 	nf, nk := 0, 0
 	for _, comp := range comps {
-		sub := r.GetSelectivity(comp)
+		sub := r.decompose(comp)
 		res.Sel *= sub.Sel
 		res.Err += sub.Err
-		nf += len(sub.Factors)
+		nf += len(sub.factors)
 		nk += len(sub.key) + 2
 		subs = append(subs, sub)
 	}
 	if nf > 0 {
-		res.Factors = make([]Factor, 0, nf)
+		res.factors = make([]factor, 0, nf)
 		for _, sub := range subs {
-			res.Factors = append(res.Factors, sub.Factors...)
+			res.factors = append(res.factors, sub.factors...)
 		}
 	}
 	for i := 1; i < len(subs); i++ {
@@ -610,10 +626,10 @@ func (r *Run) ensureChainKeys() {
 // for canonical tie-breaking; the remainder chain's key follows the head
 // (see concatLess). Heads are identified by their structural predicate
 // signature rather than their position within the query, so the winning
-// chain — and therefore the whole Result — is a pure function of the
+// chain — and therefore the whole decomposition — is a pure function of the
 // structural predicate set, the pool and the error model. That position
-// independence is what makes Results shareable across queries via the
-// cross-query selectivity cache.
+// independence is what makes decompositions shareable across queries via
+// the cross-query selectivity cache.
 //
 // Among equal-error heads, join predicates ("a" class) win over filters
 // ("b" class): the head factor carries the largest conditioning set, and
@@ -663,7 +679,7 @@ func concatLess(a1, a2, b1, b2 string) bool {
 // union uses the run's precomputed per-position table sets, keeping the
 // cached path allocation-free.
 func (r *Run) EstimateCardinality(set engine.PredSet) float64 {
-	sel := r.GetSelectivity(set).Sel
+	sel := r.decompose(set).Sel
 	var tables engine.TableSet
 	for s := uint64(set); s != 0; s &= s - 1 {
 		tables = tables.Union(r.predTables[bits.TrailingZeros64(s)])
@@ -673,12 +689,12 @@ func (r *Run) EstimateCardinality(set engine.PredSet) float64 {
 
 // Explain renders the chosen decomposition for the predicate set.
 func (r *Run) Explain(set engine.PredSet) string {
-	res := r.GetSelectivity(set)
+	d := r.decompose(set)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Sel = %.6g  (error %.4g, model %s)\n", res.Sel, res.Err, r.Est.Model.Name())
-	for _, f := range res.Factors {
+	fmt.Fprintf(&sb, "Sel = %.6g  (error %.4g, model %s)\n", d.Sel, d.Err, r.Est.Model.Name())
+	for _, f := range d.factors {
 		sb.WriteString("  · ")
-		sb.WriteString(f.Format(r.Query))
+		sb.WriteString(f.format(r.Query))
 		sb.WriteByte('\n')
 	}
 	return sb.String()

@@ -108,18 +108,18 @@ func TestGetSelectivityBasics(t *testing.T) {
 	if empty.Sel != 1 || empty.Err != 0 {
 		t.Fatalf("empty set: %+v", empty)
 	}
-	res := r.GetSelectivity(f.query.All())
+	res := r.decompose(f.query.All())
 	if res.Sel < 0 || res.Sel > 1 {
 		t.Fatalf("selectivity out of range: %v", res.Sel)
 	}
 	if math.IsInf(res.Err, 1) {
 		t.Fatalf("no decomposition found")
 	}
-	if len(res.Factors) == 0 {
+	if len(res.factors) == 0 {
 		t.Fatalf("no factors recorded")
 	}
 	// Memoization: same pointer on repeat.
-	if r.GetSelectivity(f.query.All()) != res {
+	if r.decompose(f.query.All()) != res {
 		t.Fatalf("memoization failed")
 	}
 }

@@ -15,8 +15,8 @@ func TestRunDeterminismDespiteTelemetry(t *testing.T) {
 	for _, model := range []ErrorModel{NInd{}, Diff{}} {
 		est := NewEstimator(f.cat, f.pool(2), model)
 
-		run := func() *Result {
-			return est.NewRun(f.query).GetSelectivity(f.query.All())
+		run := func() *decomp {
+			return est.NewRun(f.query).decompose(f.query.All())
 		}
 		a, b := run(), run()
 
@@ -24,12 +24,12 @@ func TestRunDeterminismDespiteTelemetry(t *testing.T) {
 			t.Fatalf("%s: runs diverge: Sel %v vs %v, Err %v vs %v",
 				model.Name(), a.Sel, b.Sel, a.Err, b.Err)
 		}
-		if len(a.Factors) != len(b.Factors) {
+		if len(a.factors) != len(b.factors) {
 			t.Fatalf("%s: factor counts diverge: %d vs %d",
-				model.Name(), len(a.Factors), len(b.Factors))
+				model.Name(), len(a.factors), len(b.factors))
 		}
-		for i := range a.Factors {
-			fa, fb := a.Factors[i], b.Factors[i]
+		for i := range a.factors {
+			fa, fb := a.factors[i], b.factors[i]
 			if fa.P != fb.P || fa.Q != fb.Q || fa.Sel != fb.Sel || fa.Err != fb.Err {
 				t.Fatalf("%s: factor %d diverges: %+v vs %+v", model.Name(), i, fa, fb)
 			}

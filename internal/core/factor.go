@@ -25,7 +25,7 @@ func (r *Run) approxFactor(pred int, qq engine.PredSet, dst []*sit.SIT) (selF, e
 	r.budget.poll()
 	fs := faults.Active() // nil when the harness is off; Fire is nil-safe
 	if fs.Fire(faults.SlowFactor) {
-		fs.Sleep()
+		fs.Sleep(r.budget.context())
 	}
 	if fs.Fire(faults.PanicInFactor) {
 		panic(faults.Injected{Point: faults.PanicInFactor})

@@ -22,7 +22,7 @@ import (
 // The result is at least 1 when the sub-query is estimated non-empty.
 func (r *Run) EstimateGroups(attr engine.AttrID, set engine.PredSet) float64 {
 	q := r.Query
-	res := r.GetSelectivity(set)
+	res := r.decompose(set)
 	tables := engine.PredsTables(q.Cat, q.Preds, set)
 	at := q.Cat.AttrTable(attr)
 	if !tables.Has(at) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -68,7 +69,7 @@ type reuseAnswer struct {
 }
 
 func answerOf(r *Run, set engine.PredSet) reuseAnswer {
-	res := r.GetSelectivity(set)
+	res := r.decompose(set)
 	return reuseAnswer{res.Sel, res.Err, res.key, r.Explain(set)}
 }
 
@@ -161,4 +162,67 @@ func TestPooledRunReuseConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestReleasedRunContract pins what a *Run does once released, which no
+// type can express: a pooled run is reused by the next NewRun, so a stale
+// handle must fail loudly rather than answer. Release nils the run's
+// estimator and query, so every unguarded exported method panics, each
+// guarded one reports a fallback reason instead, and a second Release is a
+// no-op that does not hand the run out twice. The table must name every
+// exported method of *Run but Release.
+func TestReleasedRunContract(t *testing.T) {
+	t.Parallel()
+	f := newFixture(1, 60, 300)
+	est := NewEstimator(f.cat, f.pool(2), NInd{})
+	all := f.query.All()
+	attr := f.query.Preds[f.fPrice].Attr
+	released := func() *Run {
+		r := est.NewRun(f.query)
+		r.GetSelectivity(all)
+		r.Release()
+		return r
+	}
+	cases := []struct {
+		method  string
+		guarded bool
+		call    func(r *Run) (fallbackReason string)
+	}{
+		{"GetSelectivity", false, func(r *Run) string { r.GetSelectivity(all); return "" }},
+		{"EstimateCardinality", false, func(r *Run) string { r.EstimateCardinality(all); return "" }},
+		{"EstimateGroups", false, func(r *Run) string { r.EstimateGroups(attr, all); return "" }},
+		{"Explain", false, func(r *Run) string { r.Explain(all); return "" }},
+		{"ApproxFactor", false, func(r *Run) string { r.ApproxFactor(0, 0); return "" }},
+		{"GreedyChainSelectivity", false, func(r *Run) string { r.GreedyChainSelectivity(all); return "" }},
+		{"IndependenceSelectivity", false, func(r *Run) string { r.IndependenceSelectivity(all); return "" }},
+		{"SelectivityGuarded", true, func(r *Run) string { _, reason := r.SelectivityGuarded(all); return reason }},
+		{"GreedyChainGuarded", true, func(r *Run) string { _, _, reason := r.GreedyChainGuarded(all); return reason }},
+		{"IndependenceGuarded", true, func(r *Run) string { _, reason := r.IndependenceGuarded(all); return reason }},
+	}
+
+	for _, c := range cases {
+		var reason string
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			reason = c.call(released())
+			return nil
+		}()
+		switch {
+		case c.guarded && panicked != nil:
+			t.Errorf("%s on a released run panicked (%v), want a fallback reason", c.method, panicked)
+		case c.guarded && reason == "":
+			t.Errorf("%s on a released run reported no fallback reason", c.method)
+		case !c.guarded && panicked == nil:
+			t.Errorf("%s on a released run returned, want a panic", c.method)
+		}
+	}
+	if n := reflect.TypeOf(&Run{}).NumMethod(); n != len(cases)+1 {
+		t.Errorf("*Run has %d exported methods; the released-run table names %d plus Release", n, len(cases))
+	}
+
+	r := released()
+	r.Release()
+	if a, b := est.NewRun(f.query), est.NewRun(f.query); a == b {
+		t.Fatal("a second Release parked the run twice: two live NewRun calls returned the same run")
+	}
 }

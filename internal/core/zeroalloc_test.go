@@ -46,7 +46,7 @@ func TestCachedPathZeroAllocs(t *testing.T) {
 }
 
 // warmRes is the value TestWarmRunStateAllocatesNothing stores in the memo.
-var warmRes = &Result{Sel: 1}
+var warmRes = &decomp{Result: Result{Sel: 1}}
 
 // TestWarmRunStateAllocatesNothing is the uncached search's half of the
 // alloc-gate: once one full uncached run of a query has grown a pooled

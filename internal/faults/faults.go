@@ -20,6 +20,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,8 @@ const (
 	// (internal/core.ApproxFactor).
 	NaNSelectivity
 	// SlowFactor delays a conditional factor computation by the schedule's
-	// SlowFactorDelay, for deadline/timeout testing (internal/core).
+	// SlowFactorDelay, or until the run's deadline, for deadline/timeout
+	// testing (internal/core).
 	SlowFactor
 	// PanicInFactor panics inside a conditional factor computation with an
 	// Injected value (internal/core.ApproxFactor).
@@ -145,7 +147,7 @@ type Schedule struct {
 	// Seed drives the Prob hash; schedules with different seeds fire
 	// probabilistic rules on different (but per-seed reproducible) hits.
 	Seed int64
-	// SlowFactorDelay is how long a firing SlowFactor point sleeps
+	// SlowFactorDelay is how long a firing SlowFactor point sleeps at most
 	// (default 2ms).
 	SlowFactorDelay time.Duration
 
@@ -233,14 +235,20 @@ func (s *Schedule) probFire(p Point, n int64, prob float64) bool {
 	return float64(x>>11)/(1<<53) < prob
 }
 
-// Sleep blocks for the schedule's SlowFactorDelay; call sites invoke it when
-// the SlowFactor point fires.
-func (s *Schedule) Sleep() {
+// Sleep blocks for the schedule's SlowFactorDelay or until ctx is done,
+// whichever comes first; call sites invoke it when the SlowFactor point
+// fires, so an injected delay ends at the request's deadline.
+func (s *Schedule) Sleep(ctx context.Context) {
 	d := s.SlowFactorDelay
 	if d <= 0 {
 		d = 2 * time.Millisecond
 	}
-	time.Sleep(d)
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+	case <-timer.C:
+	}
 }
 
 // active is the process-wide armed schedule; nil means the harness is off

@@ -168,21 +168,15 @@ func (e *Estimator) Selectivity(ctx context.Context, q *engine.Query, set engine
 	gen := e.Core.Pool.Generation()
 	var fall string
 
-	// Tier 1: full DP under deadline + node budget. The selectivity is
-	// copied out before Release — Results live in the run's arenas and are
-	// invalid once the run returns to the pool.
+	// Tier 1: full DP under deadline + node budget.
 	if e.Cfg.MaxTier > TierFullDP {
 		fall = "full-dp: skipped (" + e.Cfg.skipReason() + ")"
 	} else {
 		r := e.Core.NewBudgetedRun(ctx, q, e.Cfg.nodeBudget())
 		res, reason := r.SelectivityGuarded(set)
-		var tier1Sel float64
-		if reason == "" {
-			tier1Sel = res.Sel
-		}
 		r.Release()
 		if reason == "" {
-			return tier1Sel, Provenance{Tier: TierFullDP, Generation: gen}
+			return res.Sel, Provenance{Tier: TierFullDP, Generation: gen}
 		}
 		fall = "full-dp: " + reason
 	}
@@ -195,7 +189,6 @@ func (e *Estimator) Selectivity(ctx context.Context, q *engine.Query, set engine
 		fall += "; budgeted-dp: skipped (" + e.Cfg.skipReason() + ")"
 	} else {
 		r2 := e.Core.NewBudgetedRun(ctx, q, 0)
-		//lint:ignore ctxflow the run carries ctx from NewBudgetedRun and polls its deadline between factors; the transitive sleep is the SlowFactor fault-injection point, active only under the faults harness
 		sel, _, reason := r2.GreedyChainGuarded(set)
 		r2.Release()
 		if reason == "" {

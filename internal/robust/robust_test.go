@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"condsel/internal/core"
 	"condsel/internal/engine"
@@ -285,6 +286,35 @@ func TestSlowFactorDeterministicDelay(t *testing.T) {
 	}
 	if s.Fires(faults.SlowFactor) != 3 {
 		t.Fatalf("slow-factor fired %d times, want 3", s.Fires(faults.SlowFactor))
+	}
+}
+
+// TestSlowFactorHonorsDeadline: an injected SlowFactor delay ends at the
+// request's deadline. Under a 10 ms deadline a 200 ms delay must not hold
+// the request for 200 ms; the ladder answers from a lower tier and names
+// the deadline. Not parallel.
+func TestSlowFactorHonorsDeadline(t *testing.T) {
+	defer faults.Disarm()
+	f := newFixture(7)
+	lad := f.ladder(Config{})
+	s := faults.NewSchedule(1).Set(faults.SlowFactor, faults.Rule{Limit: 1})
+	s.SlowFactorDelay = 200 * time.Millisecond
+	faults.Arm(s)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	sel, prov := lad.Selectivity(ctx, f.query, f.query.All())
+	elapsed := time.Since(start)
+	faults.Disarm()
+	checkValue(t, "slow-factor sel", sel)
+	if s.Fires(faults.SlowFactor) != 1 {
+		t.Fatalf("slow-factor fired %d times, want 1", s.Fires(faults.SlowFactor))
+	}
+	if elapsed >= 100*time.Millisecond {
+		t.Fatalf("ladder answered after %v: the %v fault sleep outlived the 10ms deadline", elapsed, s.SlowFactorDelay)
+	}
+	if prov.Tier == TierFullDP || !strings.Contains(prov.FallbackReason, "deadline") {
+		t.Fatalf("tier %v, reason %q: want a degraded tier and a deadline reason", prov.Tier, prov.FallbackReason)
 	}
 }
 
