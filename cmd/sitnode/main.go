@@ -3,12 +3,13 @@
 // consistent-hash shard of the SIT pool, replicates peer shards over the
 // SITW wire protocol, fences stale state with per-node epochs, and answers
 // from its local degradation ladder — with provenance — whenever a peer
-// shard is unreachable.
+// shard it needs has not been replicated.
 //
 // Every node deterministically provisions the same synthetic database and
 // full pool from the shared seed, then keeps only its ring shard; peers are
-// learned from the -peers address book. Estimates never error on partition:
-// they degrade with `remote-shard-unavailable: <peer>/<reason>` provenance.
+// learned from the -peers address book. Estimates never error or wait on a
+// partition: they degrade with `remote-shard-unavailable: <peer>/<cause>`
+// provenance.
 //
 // Usage:
 //
@@ -180,7 +181,6 @@ func run(ctx context.Context, stop context.CancelFunc, opt options) error {
 	node, err := cluster.NewNode(cluster.Config{
 		Self:      self,
 		Nodes:     ids,
-		Seed:      opt.seed,
 		Cache:     cache,
 		Epoch:     epoch,
 		EpochSink: epochSink,
@@ -226,7 +226,6 @@ func run(ctx context.Context, stop context.CancelFunc, opt options) error {
 				Nodes:            c.Nodes,
 				PeersAdmitted:    c.PeersAdmitted,
 				PeersMissing:     c.PeersMissing,
-				PeersTripped:     c.PeersTripped,
 				Epoch:            c.Epoch,
 				LocalGeneration:  c.LocalGeneration,
 				MergedGeneration: c.MergedGeneration,
@@ -234,8 +233,6 @@ func run(ctx context.Context, stop context.CancelFunc, opt options) error {
 				ReplFailures:     c.ReplFailures,
 				FenceRejections:  c.FenceRejections,
 				Degraded:         c.Degraded,
-				Retries:          c.Retries,
-				BreakerTrips:     c.BreakerTrips,
 			}
 		},
 		DrainDeadline: opt.drain,

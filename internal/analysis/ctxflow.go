@@ -93,7 +93,7 @@ func (a *CtxFlow) exportSleepFacts(pass *Pass) {
 	for changed := true; changed; {
 		changed = false
 		for _, e := range fns {
-			if facts.Bool(e.fn, sleepsFact) {
+			if facts.Has(e.fn, sleepsFact) {
 				continue
 			}
 			sleeps := false
@@ -106,7 +106,7 @@ func (a *CtxFlow) exportSleepFacts(pass *Pass) {
 				}
 				if call, ok := n.(*ast.CallExpr); ok {
 					callee := CalleeOf(pass.Info, call)
-					if isTimeSleep(callee) || facts.Bool(callee, sleepsFact) {
+					if isTimeSleep(callee) || facts.Has(callee, sleepsFact) {
 						sleeps = true
 						return false
 					}
@@ -114,7 +114,7 @@ func (a *CtxFlow) exportSleepFacts(pass *Pass) {
 				return true
 			})
 			if sleeps {
-				facts.Export(e.fn, sleepsFact, true)
+				facts.Export(e.fn, sleepsFact)
 				changed = true
 			}
 		}
@@ -166,7 +166,7 @@ func (a *CtxFlow) checkFunc(pass *Pass, fd *ast.FuncDecl) {
 			if isTimeSleep(callee) {
 				pass.Reportf(call.Pos(),
 					"time.Sleep in a ctx-carrying function: select on ctx.Done() with a timer so cancellation interrupts the wait")
-			} else if callee != nil && !funcTakesCtx(callee) && pass.Session.Facts().Bool(callee, sleepsFact) {
+			} else if callee != nil && !funcTakesCtx(callee) && pass.Session.Facts().Has(callee, sleepsFact) {
 				pass.Reportf(call.Pos(),
 					"%s sleeps without observing ctx: thread ctx into it so cancellation interrupts the wait", callee.Name())
 			}

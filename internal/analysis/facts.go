@@ -4,21 +4,22 @@ import "go/types"
 
 // Facts is the session-wide store of function summaries ("facts" in the
 // x/tools sense, minus the serialization: this module analyzes itself from
-// source in one process, so facts are plain in-memory values keyed by the
+// source in one process, so facts are in-memory flags keyed by the
 // canonical types.Object of the function, field or variable they describe).
 //
 // Because the loader caches type-checked packages, an object imported by
 // package B is *identical* (pointer-equal) to the object defined in package
-// A — exporting a fact while analyzing A and importing it from a call site
-// in B needs no linking step. Sessions analyze packages dependency-first,
+// A — exporting a fact while analyzing A and reading it at a call site in
+// B needs no linking step. Sessions analyze packages dependency-first,
 // so by the time an analyzer sees a call site, every same-session fact of
 // the callee's package has been computed; only intra-package recursion
 // needs a local fixed point.
 //
-// A fact key is (object, name) where name is conventionally
-// "<analyzer>.<property>", keeping analyzers' namespaces disjoint.
+// A fact is a flag: it holds for (object, name) once exported, where name
+// is conventionally "<analyzer>.<property>", keeping analyzers' namespaces
+// disjoint.
 type Facts struct {
-	m map[factKey]any
+	m map[factKey]struct{}
 }
 
 type factKey struct {
@@ -27,30 +28,19 @@ type factKey struct {
 }
 
 // NewFacts returns an empty store.
-func NewFacts() *Facts { return &Facts{m: make(map[factKey]any)} }
+func NewFacts() *Facts { return &Facts{m: make(map[factKey]struct{})} }
 
-// Export records a fact about obj under the given name, overwriting any
-// previous value (analyzers refine facts monotonically during their
-// in-package fixed points).
-func (f *Facts) Export(obj types.Object, name string, v any) {
+// Export records that the named fact holds for obj (analyzers only ever add
+// facts during their in-package fixed points).
+func (f *Facts) Export(obj types.Object, name string) {
 	if obj == nil {
 		return
 	}
-	f.m[factKey{obj, name}] = v
+	f.m[factKey{obj, name}] = struct{}{}
 }
 
-// Import returns the fact recorded for (obj, name), if any.
-func (f *Facts) Import(obj types.Object, name string) (any, bool) {
-	v, ok := f.m[factKey{obj, name}]
-	return v, ok
-}
-
-// Bool is Import specialized to boolean facts; absent means false.
-func (f *Facts) Bool(obj types.Object, name string) bool {
-	v, ok := f.m[factKey{obj, name}]
-	if !ok {
-		return false
-	}
-	b, _ := v.(bool)
-	return b
+// Has reports whether the named fact was exported for obj.
+func (f *Facts) Has(obj types.Object, name string) bool {
+	_, ok := f.m[factKey{obj, name}]
+	return ok
 }

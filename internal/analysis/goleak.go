@@ -50,7 +50,7 @@ func (a *GoLeak) Run(pass *Pass) {
 			}
 			if divergentLoop(pass, fd.Body) {
 				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					facts.Export(fn, divergesFact, true)
+					facts.Export(fn, divergesFact)
 				}
 			}
 		}
@@ -98,7 +98,7 @@ func (a *GoLeak) reachableDivergent(pass *Pass, roots []*types.Func) *types.Func
 			continue
 		}
 		seen[fn] = true
-		if facts.Bool(fn, divergesFact) {
+		if facts.Has(fn, divergesFact) {
 			return fn
 		}
 		queue = append(queue, graph.Callees(fn)...)

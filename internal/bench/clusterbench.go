@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -56,13 +55,11 @@ type ClusterBenchReport struct {
 	BitIdenticalWarm bool `json:"bit_identical_warm"`
 
 	// Partition phase: one peer cut off from the probe node.
-	PartitionQueries       int   `json:"partition_queries"`
-	PartitionErrors        int   `json:"partition_errors"`
-	DegradedAnswers        int   `json:"degraded_answers"`
-	DegradedWithProvenance int   `json:"degraded_with_provenance"`
-	ProvenanceMissing      int   `json:"provenance_missing"`
-	BreakerTrips           int64 `json:"breaker_trips"`
-	Retries                int64 `json:"retries"`
+	PartitionQueries       int `json:"partition_queries"`
+	PartitionErrors        int `json:"partition_errors"`
+	DegradedAnswers        int `json:"degraded_answers"`
+	DegradedWithProvenance int `json:"degraded_with_provenance"`
+	ProvenanceMissing      int `json:"provenance_missing"`
 
 	// Heal phase: partition removed, peer rebuilt (epoch bump),
 	// re-replicated.
@@ -97,12 +94,7 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 	}
 
 	h, err := cluster.NewHarness(e.DB.Cat, pool, cfg.Nodes, cluster.Config{
-		Seed:            e.Opts.Seed,
-		FetchDeadline:   100 * time.Millisecond,
-		MaxAttempts:     2,
-		BackoffBase:     time.Millisecond,
-		BackoffCap:      8 * time.Millisecond,
-		BreakerCooldown: time.Millisecond,
+		FetchDeadline: benchFetchDeadline,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: cluster harness: %v", err))
@@ -128,14 +120,17 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 	}
 
 	// --- Partition: estimation must continue, degraded with provenance --
-	// A fresh probe node (same shard, empty replica set) sees the partition
-	// from the first fetch, like a node rejoining during an outage.
-	cold, err := cluster.NewNode(probeConfig(h, e.Opts.Seed), e.DB.Cat, h.Ring.Shard(pool, h.IDs[0]), h.Transport)
+	// A fresh probe node (same shard, empty replica set) boots the way
+	// sitnode does, warming up during the outage: every reachable shard is
+	// admitted and the lost peer's is not. Its warm-up error is that
+	// degraded start, which the provenance checks below judge.
+	cold, err := cluster.NewNode(probeConfig(h), e.DB.Cat, h.Ring.Shard(pool, h.IDs[0]), h.Transport)
 	if err != nil {
 		panic(fmt.Sprintf("bench: cold probe node: %v", err))
 	}
 	h.Transport.Register(cold)
 	h.Transport.Partition(cold.ID(), lost.ID())
+	_ = cold.WarmUp(ctx)
 	for i, q := range queries {
 		needsLost := false
 		for _, owner := range h.Ring.QueryOwners(e.DB.Cat, q) {
@@ -162,9 +157,6 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 			report.PartitionErrors++
 		}
 	}
-	cc := cold.Counters()
-	report.BreakerTrips = cc.BreakerTrips
-	report.Retries = cc.Retries
 
 	// --- Heal: epoch-bumped rebuild, re-replication, bit-identity back --
 	lost.RebuildLocal(h.Ring.Shard(pool, lost.ID()))
@@ -174,17 +166,8 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 		if id == cold.ID() {
 			continue
 		}
-		// The breaker may still be inside the cooldown window from the last
-		// failed probe; wait it out the way the anti-entropy loop would.
-		var replErr error
-		for attempt := 0; attempt < 50; attempt++ {
-			if replErr = cold.Replicate(ctx, id); !errors.Is(replErr, cluster.ErrBreakerOpen) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if replErr != nil {
-			panic(fmt.Sprintf("bench: re-replication from %s after heal: %v", id, replErr))
+		if err := cold.Replicate(ctx, id); err != nil {
+			panic(fmt.Sprintf("bench: re-replication from %s after heal: %v", id, err))
 		}
 	}
 	report.BitIdenticalHealed = true
@@ -230,18 +213,16 @@ func (e *Env) ClusterBench(cfg ClusterBenchConfig) ClusterBenchReport {
 // same id and membership, fresh epoch and replica set. Registering it
 // replaces the original in the transport, which is exactly what a process
 // restart does to a cluster.
-func probeConfig(h *cluster.Harness, seed int64) cluster.Config {
+func probeConfig(h *cluster.Harness) cluster.Config {
 	return cluster.Config{
-		Self:            h.IDs[0],
-		Nodes:           h.IDs,
-		Seed:            seed,
-		FetchDeadline:   100 * time.Millisecond,
-		MaxAttempts:     2,
-		BackoffBase:     time.Millisecond,
-		BackoffCap:      8 * time.Millisecond,
-		BreakerCooldown: time.Millisecond,
+		Self:          h.IDs[0],
+		Nodes:         h.IDs,
+		FetchDeadline: benchFetchDeadline,
 	}
 }
+
+// benchFetchDeadline bounds each replication fetch of the arc.
+const benchFetchDeadline = 100 * time.Millisecond
 
 // WriteClusterJSON writes the BENCH_cluster.json envelope.
 func WriteClusterJSON(w io.Writer, r ClusterBenchReport) error {
@@ -253,9 +234,9 @@ func RenderCluster(w io.Writer, r ClusterBenchReport) {
 	fmt.Fprintf(w, "Distributed statistics tier — %d nodes, pool J_%d (%d SITs), %d queries (seed %d)\n\n",
 		r.Nodes, r.PoolJoins, r.PoolSITs, r.Queries, r.Seed)
 	fmt.Fprintf(w, "warm:      bit-identical to single-node: %v\n", r.BitIdenticalWarm)
-	fmt.Fprintf(w, "partition: %d queries, %d errors, %d degraded (%d with provenance, %d missing), retries=%d trips=%d\n",
+	fmt.Fprintf(w, "partition: %d queries, %d errors, %d degraded (%d with provenance, %d missing)\n",
 		r.PartitionQueries, r.PartitionErrors, r.DegradedAnswers,
-		r.DegradedWithProvenance, r.ProvenanceMissing, r.Retries, r.BreakerTrips)
+		r.DegradedWithProvenance, r.ProvenanceMissing)
 	fmt.Fprintf(w, "heal:      rebuilt epoch %d, bit-identical after re-replication: %v\n",
 		r.RebuiltEpoch, r.BitIdenticalHealed)
 	fmt.Fprintf(w, "fence:     stale replay rejected: %v (rejections=%d, generation moved: %v)\n",

@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,16 +92,10 @@ func newClusterFixture(t testing.TB) *clusterFixture {
 	return &clusterFixture{cat: cat, pool: pool, queries: queries}
 }
 
-// fastConfig is harness tuning that keeps failure arcs quick: short fetch
-// deadlines, two attempts, millisecond backoff.
+// fastConfig is harness tuning that keeps failure arcs quick: a short
+// fetch deadline.
 func fastConfig() Config {
-	return Config{
-		FetchDeadline: 50 * time.Millisecond,
-		MaxAttempts:   2,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    4 * time.Millisecond,
-		Seed:          1,
-	}
+	return Config{FetchDeadline: 50 * time.Millisecond}
 }
 
 // reference answers queries the way a single node owning the full pool
@@ -136,10 +132,12 @@ func TestWarmClusterBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionDegradesNeverErrors is the acceptance arc: with a peer
-// partitioned away, 100% of estimates still answer — degraded answers
-// carry remote-shard-unavailable provenance naming the peer, none error,
-// and concurrent estimation under -race stays clean.
+// TestPartitionDegradesNeverErrors is the acceptance arc: a node boots
+// the way sitnode does — warm-up, which fails on a partitioned peer — and
+// 100% of estimates still answer. Degraded answers carry
+// remote-shard-unavailable provenance naming the peer and the cause of its
+// failed fetch, none error, each is counted once, and concurrent estimation
+// under -race stays clean.
 func TestPartitionDegradesNeverErrors(t *testing.T) {
 	fx := newClusterFixture(t)
 	h, err := NewHarness(fx.cat, fx.pool, 3, fastConfig())
@@ -147,18 +145,17 @@ func TestPartitionDegradesNeverErrors(t *testing.T) {
 		t.Fatalf("NewHarness: %v", err)
 	}
 	ctx := context.Background()
-	// No warm-up: node-0 starts with every peer missing, and node-1 is
-	// unreachable from the start.
 	victim, lost := h.Node(0), h.IDs[1]
 	h.Transport.Partition(victim.ID(), lost)
+	if err := victim.WarmUp(ctx); err == nil || !strings.Contains(err.Error(), string(lost)) {
+		t.Fatalf("warm-up across a partition returned %v, want an error naming %s", err, lost)
+	}
 
 	needLost := make(map[*engine.Query]bool)
 	for _, q := range fx.queries {
-		for _, p := range q.Preds {
-			for _, attr := range predAttrs(p) {
-				if h.Ring.OwnerOfAttr(fx.cat, attr) == lost {
-					needLost[q] = true
-				}
+		for _, owner := range h.Ring.QueryOwners(fx.cat, q) {
+			if owner == lost {
+				needLost[q] = true
 			}
 		}
 	}
@@ -167,6 +164,7 @@ func TestPartitionDegradesNeverErrors(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	var degraded atomic.Int64
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -178,13 +176,12 @@ func TestPartitionDegradesNeverErrors(t *testing.T) {
 						t.Errorf("%s: non-finite cardinality %v", q, card)
 						return
 					}
-					if needLost[q] && !strings.Contains(prov.FallbackReason, robust.RemoteUnavailablePrefix) {
-						t.Errorf("%s: needs shard of %s but provenance %q lacks %s",
-							q, lost, prov.FallbackReason, robust.RemoteUnavailablePrefix)
-						return
+					if strings.Contains(prov.FallbackReason, robust.RemoteUnavailablePrefix) {
+						degraded.Add(1)
 					}
-					if needLost[q] && !strings.Contains(prov.FallbackReason, string(lost)) {
-						t.Errorf("%s: provenance %q does not name the partitioned peer", q, prov.FallbackReason)
+					if needLost[q] && !strings.Contains(prov.FallbackReason, string(lost)+"/partitioned") {
+						t.Errorf("%s: needs shard of %s but provenance %q lacks %s/partitioned",
+							q, lost, prov.FallbackReason, lost)
 						return
 					}
 				}
@@ -194,8 +191,8 @@ func TestPartitionDegradesNeverErrors(t *testing.T) {
 	wg.Wait()
 
 	c := victim.Counters()
-	if c.Degraded == 0 {
-		t.Fatal("partition never degraded an estimate")
+	if c.Degraded == 0 || c.Degraded != degraded.Load() {
+		t.Fatalf("Degraded = %d, want the %d degraded answers", c.Degraded, degraded.Load())
 	}
 	if c.ReplFailures == 0 {
 		t.Fatal("no replication failure recorded")
@@ -332,8 +329,8 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 }
 
 // TestTruncatedStreamDegrades: a shard stream cut mid-frame is rejected by
-// the wire decoder and handled as one more unavailable-shard case — the
-// estimate still answers, with provenance.
+// the wire decoder: warm-up fails, and the estimate still answers, with
+// provenance naming the failed fetch.
 func TestTruncatedStreamDegrades(t *testing.T) {
 	fx := newClusterFixture(t)
 	h, err := NewHarness(fx.cat, fx.pool, 2, fastConfig())
@@ -346,13 +343,18 @@ func TestTruncatedStreamDegrades(t *testing.T) {
 	sched := faults.NewSchedule(1).Set(faults.NetTruncatedStream, faults.Rule{})
 	faults.Arm(sched)
 	defer faults.Disarm()
+	if err := victim.WarmUp(ctx); err == nil {
+		t.Fatal("warm-up admitted a truncated stream")
+	}
 
 	for _, q := range fx.queries {
 		card, prov := victim.Estimate(ctx, q, robust.Config{})
 		if math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
 			t.Fatalf("%s: bad cardinality %v under truncated streams", q, card)
 		}
-		_ = prov
+		if prov.Tier != robust.TierFullDP && !strings.Contains(prov.FallbackReason, string(h.IDs[1])+"/fetch-failed") {
+			t.Fatalf("%s: degraded answer's provenance %q does not name the torn fetch", q, prov.FallbackReason)
+		}
 	}
 	if victim.Counters().Degraded == 0 {
 		t.Fatal("truncated streams never degraded an estimate — the peer shard was admitted from a torn frame?")
@@ -362,182 +364,107 @@ func TestTruncatedStreamDegrades(t *testing.T) {
 	}
 }
 
-// TestBreakerFailsFast: after the breaker trips on a partitioned peer,
-// estimates stop paying fetch deadlines — the transport sees no more
-// traffic until the cooldown.
-func TestBreakerFailsFast(t *testing.T) {
-	fx := newClusterFixture(t)
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	cfg := fastConfig()
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = time.Hour
-	cfg.Now = clk.now
-	h, err := NewHarness(fx.cat, fx.pool, 2, cfg)
-	if err != nil {
-		t.Fatalf("NewHarness: %v", err)
-	}
-	ctx := context.Background()
-	victim, lost := h.Node(0), h.IDs[1]
-	h.Transport.Partition(victim.ID(), lost)
-
-	// Drive failures until the breaker trips.
-	for i := 0; i < 3 && !victim.breakers[lost].Tripped(); i++ {
-		_ = victim.Replicate(ctx, lost)
-	}
-	if !victim.breakers[lost].Tripped() {
-		t.Fatal("breaker never tripped on a hard partition")
-	}
-	if err := victim.Replicate(ctx, lost); err != ErrBreakerOpen {
-		t.Fatalf("tripped breaker let a call through: %v", err)
-	}
-	// Estimates still answer, with breaker-open provenance.
-	q := fx.queries[0]
-	card, prov := victim.Estimate(ctx, q, robust.Config{})
-	if math.IsNaN(card) || card < 0 {
-		t.Fatalf("bad cardinality %v behind a tripped breaker", card)
-	}
-	if !strings.Contains(prov.FallbackReason, "breaker-open") && !strings.Contains(prov.FallbackReason, robust.RemoteUnavailablePrefix) {
-		t.Fatalf("provenance %q does not record the unavailable shard", prov.FallbackReason)
-	}
-	// After the cooldown the half-open probe heals the breaker once the
-	// partition is gone.
-	h.Transport.HealAll()
-	clk.advance(2 * time.Hour)
-	if err := victim.Replicate(ctx, lost); err != nil {
-		t.Fatalf("half-open probe after heal failed: %v", err)
-	}
-	if victim.breakers[lost].Tripped() {
-		t.Fatal("breaker still open after a successful probe")
-	}
+// countingTransport counts the fetches that reach the transport.
+type countingTransport struct {
+	Transport
+	fetches atomic.Int64
 }
 
-// TestProbeCancelledContextDoesNotStrandBreaker is the probe-leak
-// regression arc: trip the breaker, elapse the cooldown, fail the
-// half-open probe with a dead request context (Estimate hands the request
-// ctx straight through, so a request-deadline expiry during the probe is
-// routine). The probe must be released — before the fix, probing stayed
-// true forever and every later call, anti-entropy included, got
-// ErrBreakerOpen until process restart.
-func TestProbeCancelledContextDoesNotStrandBreaker(t *testing.T) {
-	fx := newClusterFixture(t)
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	cfg := fastConfig()
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = time.Hour
-	cfg.Now = clk.now
-	h, err := NewHarness(fx.cat, fx.pool, 2, cfg)
-	if err != nil {
-		t.Fatalf("NewHarness: %v", err)
-	}
-	ctx := context.Background()
-	victim, lost := h.Node(0), h.IDs[1]
-	h.Transport.Partition(victim.ID(), lost)
-	for i := 0; i < 3 && !victim.breakers[lost].Tripped(); i++ {
-		_ = victim.Replicate(ctx, lost)
-	}
-	if !victim.breakers[lost].Tripped() {
-		t.Fatal("breaker never tripped on a hard partition")
-	}
-
-	// Cooldown elapses; the admitted half-open probe runs under an
-	// already-cancelled context and exits without Success or Failure.
-	clk.advance(2 * time.Hour)
-	dead, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := victim.Replicate(dead, lost); err == nil {
-		t.Fatal("probe under a cancelled context reported success")
-	}
-
-	// The partition heals; the very next call must run as a fresh probe.
-	h.Transport.HealAll()
-	if err := victim.Replicate(ctx, lost); err != nil {
-		t.Fatalf("breaker stranded after a cancelled probe: %v", err)
-	}
-	if victim.breakers[lost].Tripped() {
-		t.Fatal("breaker still open after a successful probe")
-	}
+func (c *countingTransport) Fetch(ctx context.Context, from, peer NodeID) (*Frame, error) {
+	c.fetches.Add(1)
+	return c.Transport.Fetch(ctx, from, peer)
 }
 
-// TestProbeFencedReplayDoesNotStrandBreaker: the other indeterminate probe
-// outcome — the fetch succeeds but the frame is a stale-epoch replay the
-// fence refuses. The breaker must neither re-trip (the peer was reachable)
-// nor leak the probe.
-func TestProbeFencedReplayDoesNotStrandBreaker(t *testing.T) {
-	fx := newClusterFixture(t)
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	cfg := fastConfig()
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = time.Hour
-	cfg.Now = clk.now
-	h, err := NewHarness(fx.cat, fx.pool, 2, cfg)
-	if err != nil {
-		t.Fatalf("NewHarness: %v", err)
-	}
-	ctx := context.Background()
-	victim, peer := h.Node(0), h.Node(1)
-	// Record the epoch-1 frame as the transport's replayable "oldest", then
-	// admit the peer's epoch-2 rebuild so a replay is genuinely stale.
-	if err := victim.Replicate(ctx, peer.ID()); err != nil {
-		t.Fatalf("initial replicate: %v", err)
-	}
-	peer.RebuildLocal(h.Ring.Shard(fx.pool, peer.ID()))
-	if err := victim.Replicate(ctx, peer.ID()); err != nil {
-		t.Fatalf("replicate after rebuild: %v", err)
-	}
-
-	h.Transport.Partition(victim.ID(), peer.ID())
-	for i := 0; i < 3 && !victim.breakers[peer.ID()].Tripped(); i++ {
-		_ = victim.Replicate(ctx, peer.ID())
-	}
-	if !victim.breakers[peer.ID()].Tripped() {
-		t.Fatal("breaker never tripped")
-	}
-	h.Transport.HealAll()
-	clk.advance(2 * time.Hour)
-
-	// The half-open probe fetches a stale replay; the fence refuses it.
-	sched := faults.NewSchedule(1).Set(faults.NetStaleEpoch, faults.Rule{Limit: 1})
-	faults.Arm(sched)
-	err = victim.Replicate(ctx, peer.ID())
-	faults.Disarm()
-	if err == nil || !strings.Contains(err.Error(), "stale-epoch") {
-		t.Fatalf("probe replay failed with %v, want stale-epoch rejection", err)
-	}
-
-	// The probe was released: the next call is admitted and heals.
-	if err := victim.Replicate(ctx, peer.ID()); err != nil {
-		t.Fatalf("breaker stranded after a fenced probe: %v", err)
-	}
-	if victim.breakers[peer.ID()].Tripped() {
-		t.Fatal("breaker still open after a successful probe")
-	}
-}
-
-// TestSlowPeerHonorsDeadline: a slow peer burns the per-call deadline, not
-// the estimate — the answer arrives degraded within the fetch budget.
+// TestSlowPeerHonorsDeadline: estimates never call the transport, so a slow
+// peer costs them nothing. A cold member of a 3-node cluster, with a 1 s
+// slow peer armed, answers every fixture query well within a request
+// deadline from what replication admitted — here, its own shard — and each
+// degraded answer names every missing owner the query needs, counted once.
+// Only replication fetches: warm-up spends the fetch deadline per peer and
+// records why it failed.
 func TestSlowPeerHonorsDeadline(t *testing.T) {
 	fx := newClusterFixture(t)
-	cfg := fastConfig()
-	cfg.FetchDeadline = 5 * time.Millisecond
-	cfg.MaxAttempts = 1
-	h, err := NewHarness(fx.cat, fx.pool, 2, cfg)
+	h, err := NewHarness(fx.cat, fx.pool, 3, Config{})
 	if err != nil {
 		t.Fatalf("NewHarness: %v", err)
 	}
+	tr := &countingTransport{Transport: h.Transport}
+	self := h.IDs[0]
+	cold, err := NewNode(Config{Self: self, Nodes: h.IDs}, fx.cat, h.Ring.Shard(fx.pool, self), tr)
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
 	ctx := context.Background()
-	victim := h.Node(0)
 
 	sched := faults.NewSchedule(1).Set(faults.NetSlowPeer, faults.Rule{})
 	sched.SlowFactorDelay = time.Second
 	faults.Arm(sched)
 	defer faults.Disarm()
 
-	start := time.Now()
-	card, _ := victim.Estimate(ctx, fx.queries[0], robust.Config{})
-	if math.IsNaN(card) || card < 0 {
-		t.Fatalf("bad cardinality %v behind a slow peer", card)
+	// missingOwners names, sorted, the peers whose shards q draws from.
+	missingOwners := func(q *engine.Query) []NodeID {
+		var peers []NodeID
+		for _, owner := range h.Ring.QueryOwners(fx.cat, q) {
+			if owner != self {
+				peers = append(peers, owner)
+			}
+		}
+		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+		return peers
 	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("slow peer stalled the estimate for %v despite a 5ms fetch deadline", elapsed)
+	checkAnswers := func(cause string) {
+		t.Helper()
+		before := cold.Counters().Degraded
+		var degraded int64
+		twoOwners := false
+		for _, q := range fx.queries {
+			start := time.Now()
+			card, prov := cold.Estimate(ctx, q, robust.Config{})
+			if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+				t.Fatalf("%s: estimate took %v behind a slow peer", q, elapsed)
+			}
+			if math.IsNaN(card) || card < 0 {
+				t.Fatalf("%s: bad cardinality %v behind a slow peer", q, card)
+			}
+			owners := missingOwners(q)
+			if len(owners) == 0 {
+				if prov.Tier != robust.TierFullDP {
+					t.Fatalf("%s: needs only the local shard but answered from %s (%s)", q, prov.Tier, prov.FallbackReason)
+				}
+				continue
+			}
+			degraded++
+			twoOwners = twoOwners || len(owners) > 1
+			var names []string
+			for _, peer := range owners {
+				names = append(names, string(peer)+"/"+cause)
+			}
+			want := robust.RemoteUnavailablePrefix + ": " + strings.Join(names, ", ")
+			if !strings.Contains(prov.FallbackReason, want) {
+				t.Fatalf("%s: provenance %q, want it to contain %q", q, prov.FallbackReason, want)
+			}
+		}
+		if !twoOwners {
+			t.Fatal("no fixture query needs two missing owners — ring layout changed?")
+		}
+		if got := cold.Counters().Degraded - before; got != degraded {
+			t.Fatalf("Degraded moved by %d over %d degraded answers", got, degraded)
+		}
+	}
+
+	checkAnswers(neverFetched)
+	if n := tr.fetches.Load(); n != 0 {
+		t.Fatalf("estimates made %d transport fetches, want 0", n)
+	}
+
+	if err := cold.WarmUp(ctx); err == nil {
+		t.Fatal("warm-up beat a 1 s slow peer under the 200 ms fetch deadline")
+	}
+	if n, want := tr.fetches.Load(), int64(len(h.IDs)-1); n != want {
+		t.Fatalf("warm-up made %d fetches, want one per peer (%d)", n, want)
+	}
+	checkAnswers("deadline")
+	if n, want := tr.fetches.Load(), int64(len(h.IDs)-1); n != want {
+		t.Fatalf("estimates after warm-up fetched: %d fetches, want %d", n, want)
 	}
 }

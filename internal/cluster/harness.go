@@ -30,8 +30,8 @@ func HarnessIDs(n int) []NodeID {
 }
 
 // NewHarness shards full across n nodes and wires them to a shared
-// MemTransport. The template config supplies tuning (deadline, retries,
-// breaker, seed, cache, model); Self and Nodes are filled in per node.
+// MemTransport. The template config supplies tuning (fetch deadline,
+// cache, model); Self and Nodes are filled in per node.
 func NewHarness(cat *engine.Catalog, full *sit.Pool, n int, template Config) (*Harness, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: harness needs at least one node")

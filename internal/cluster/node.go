@@ -6,12 +6,12 @@
 // every remotely cached selectivity computed against its old shard.
 //
 // Robustness is the contract: estimation NEVER errors because a peer is
-// slow, partitioned or recovering. A remote fetch runs under a per-call
-// deadline with capped-exponential retry and deterministic jitter
-// (lifecycle.Backoff); a per-peer failure-counting breaker trips
-// partitioned peers out of the fetch path; and any shard that stays
-// unreachable is answered by the local degradation ladder with
-// `remote-shard-unavailable: <peer>/<reason>` provenance — fidelity
+// slow, partitioned or recovering, and never waits on one. Only WarmUp and
+// ReplicateLoop call the transport, one fetch per peer under a per-call
+// deadline; a failed fetch is retried at the loop's next tick. Estimate
+// reads the merged pool replication has admitted, and a query that needs a
+// shard not yet admitted is answered by the local degradation ladder with
+// `remote-shard-unavailable: <peer>/<cause>` provenance — fidelity
 // degrades, availability does not, end to end through internal/serve.
 package cluster
 
@@ -20,24 +20,20 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"condsel/internal/core"
 	"condsel/internal/engine"
-	"condsel/internal/lifecycle"
 	"condsel/internal/robust"
 	"condsel/internal/sit"
 )
 
-// Default remote-call tuning (used when Config leaves the fields zero).
-const (
-	DefaultFetchDeadline = 200 * time.Millisecond
-	DefaultMaxAttempts   = 3
-	DefaultBackoffBase   = 5 * time.Millisecond
-	DefaultBackoffCap    = 100 * time.Millisecond
-)
+// DefaultFetchDeadline bounds one remote fetch when Config leaves
+// FetchDeadline zero.
+const DefaultFetchDeadline = 200 * time.Millisecond
 
 // Config describes one node's view of the cluster.
 type Config struct {
@@ -56,24 +52,8 @@ type Config struct {
 	// so admitting a newer peer shard retires them (see installLocked).
 	Cache *core.SelCacheStore
 
-	// FetchDeadline bounds each remote fetch attempt (0: 200ms).
+	// FetchDeadline bounds each remote fetch (0: DefaultFetchDeadline).
 	FetchDeadline time.Duration
-	// MaxAttempts is how many times one Replicate call tries a peer before
-	// giving up (0: 3). Attempts after the first wait lifecycle.Backoff
-	// with deterministic per-(seed,peer,attempt) jitter.
-	MaxAttempts int
-	// BackoffBase/BackoffCap shape the retry schedule (0: 5ms/100ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Seed drives the deterministic retry jitter.
-	Seed int64
-
-	// BreakerThreshold consecutive failures trip a peer's breaker for
-	// BreakerCooldown (0: 3 and 2s). Now is the breaker clock (nil: real
-	// time) — injectable so arcs are test-driven without waiting.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	Now              func() time.Time
 
 	// Epoch is the node's starting rebuild epoch (0: 1). Epochs must be
 	// strictly increasing across the node's lifetime INCLUDING restarts —
@@ -99,24 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.FetchDeadline <= 0 {
 		c.FetchDeadline = DefaultFetchDeadline
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = DefaultBackoffCap
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	if c.Epoch == 0 {
 		c.Epoch = 1
 	}
@@ -132,18 +94,16 @@ type replica struct {
 // merged is the immutable estimation state the hot path reads with one
 // atomic load: the merged pool (local shard + every admitted replica), its
 // warmed estimator, and the precomputed set of peers with no admitted
-// shard. When missing is empty — the steady state — Estimate costs exactly
-// one atomic load more than a single-node ladder.
+// shard. When missing is empty — the steady state — Estimate costs one
+// atomic load and a length check more than a single-node ladder.
 type merged struct {
 	pool *sit.Pool
 	est  *core.Estimator
 	// ladder is the prebuilt zero-config degradation ladder: the steady
 	// state answers through it without any per-call construction.
 	ladder *robust.Estimator
-	// missing lists peers with no admitted replica, sorted; missingSet is
-	// the same as a set.
-	missing    []NodeID
-	missingSet map[NodeID]bool
+	// missing is the set of peers with no admitted replica.
+	missing map[NodeID]bool
 }
 
 // ladderFor returns the ladder configured with cfg, reusing the prebuilt
@@ -180,16 +140,20 @@ type Node struct {
 
 	cur atomic.Pointer[merged]
 
-	// breakers is created at construction and read-only after; each entry
-	// is internally synchronized.
-	breakers map[NodeID]*Breaker
+	// causes holds, per peer, why its last Replicate failed (neverFetched
+	// before any attempt). The map is built at construction and read-only
+	// after, so Estimate reads it without n.mu; a missing key is a peer
+	// outside the membership.
+	causes map[NodeID]*atomic.Pointer[string]
 
 	// counters
 	replications atomic.Int64 // admitted peer frames
-	replFailures atomic.Int64 // Replicate calls that gave up
+	replFailures atomic.Int64 // failed Replicate calls
 	degraded     atomic.Int64 // estimates answered below full fidelity due to a missing shard
-	retries      atomic.Int64 // fetch attempts beyond the first
 }
+
+// neverFetched is the provenance cause of a peer no Replicate has tried.
+const neverFetched = "never-fetched"
 
 // NewNode builds a node from its local shard. The shard should be
 // ring.Shard(full, cfg.Self) — NewNode does not re-filter, so warm-start
@@ -221,12 +185,14 @@ func NewNode(cfg Config, cat *engine.Catalog, local *sit.Pool, tr Transport) (*N
 		local:    local,
 		replicas: make(map[NodeID]*replica),
 		vec:      NewGenVector(),
-		breakers: make(map[NodeID]*Breaker),
+		causes:   make(map[NodeID]*atomic.Pointer[string]),
 	}
 	n.epoch.Store(cfg.Epoch)
+	never := neverFetched
 	for _, id := range ring.Nodes() {
 		if id != cfg.Self {
-			n.breakers[id] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
+			n.causes[id] = new(atomic.Pointer[string])
+			n.causes[id].Store(&never)
 		}
 	}
 	n.mu.Lock()
@@ -324,15 +290,13 @@ func (n *Node) installLocked() {
 		}
 	}
 
-	var missing []NodeID
-	missingSet := make(map[NodeID]bool)
+	missing := make(map[NodeID]bool)
 	for _, id := range n.ring.Nodes() {
 		if id == n.cfg.Self {
 			continue
 		}
 		if _, ok := n.replicas[id]; !ok {
-			missing = append(missing, id)
-			missingSet[id] = true
+			missing[id] = true
 		}
 	}
 
@@ -342,79 +306,37 @@ func (n *Node) installLocked() {
 	}
 	prev := n.cur.Swap(&merged{
 		pool: pool, est: est, ladder: robust.New(est, robust.Config{}),
-		missing: missing, missingSet: missingSet,
+		missing: missing,
 	})
 	if prev != nil {
-		gen := prev.pool.Generation()
-		if n.cfg.Cache != nil {
-			n.cfg.Cache.EvictIf(func(k core.CacheKey) bool { return k.Gen == gen })
-		}
-		core.EvictHistJoinGeneration(gen)
+		core.RetireGeneration(n.cfg.Cache, prev.pool.Generation())
 	}
 }
 
-// Replicate fetches the peer's current shard, fences it against the
+// Replicate fetches the peer's current shard once, fences it against the
 // generation vector and, when admitted, installs it into the merged pool.
 // A frame equal to the admitted stamp is a no-op success (duplicate
 // delivery); an older one is rejected by the fence and reported as an
-// error without touching any state. Retries honor ctx and the per-peer
-// breaker.
+// error without touching any state. A failure is counted and its cause
+// kept for the provenance of estimates that need the shard; Replicate does
+// not retry — ReplicateLoop's next tick does.
 func (n *Node) Replicate(ctx context.Context, peer NodeID) error {
-	return n.replicate(ctx, peer, n.cfg.MaxAttempts)
-}
-
-// replicate is Replicate with an explicit attempt budget: the anti-entropy
-// and warm-up paths retry up to cfg.MaxAttempts, the estimate path fetches
-// once (see Estimate).
-func (n *Node) replicate(ctx context.Context, peer NodeID, attempts int) error {
 	if peer == n.cfg.Self {
 		return nil
 	}
-	br := n.breakers[peer]
-	if br == nil {
+	cause := n.causes[peer]
+	if cause == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	if !br.Allow() {
-		return ErrBreakerOpen
+	frame, err := n.fetchOnce(ctx, peer)
+	if err == nil {
+		err = n.admit(peer, frame)
 	}
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			n.retries.Add(1)
-			d := lifecycle.Backoff(n.cfg.BackoffBase, n.cfg.BackoffCap, n.cfg.Seed, string(peer), attempt-1)
-			if serr := sleepCtx(ctx, d); serr != nil {
-				err = serr
-				// The call ended without learning anything about the peer:
-				// release a half-open probe so the breaker can probe again.
-				br.CancelProbe()
-				break
-			}
-		}
-		var frame *Frame
-		frame, err = n.fetchOnce(ctx, peer)
-		if err == nil {
-			err = n.admit(peer, frame)
-		}
-		if err == nil {
-			br.Success()
-			return nil
-		}
-		if errors.Is(err, errStaleFrame) || ctx.Err() != nil {
-			// A fenced replay is not a connectivity failure — retrying the
-			// same stale source is pointless, and the breaker should not
-			// trip over it. A dead parent context ends the loop either way.
-			// Neither outcome may strand an admitted half-open probe: if one
-			// is in flight, release it so Allow recovers after the cooldown
-			// instead of refusing the peer until process restart.
-			br.CancelProbe()
-			break
-		}
-		br.Failure()
-		if br.Tripped() {
-			break
-		}
+	if err != nil {
+		reason := errorReason(err)
+		cause.Store(&reason)
+		n.replFailures.Add(1)
 	}
-	n.replFailures.Add(1)
 	return err
 }
 
@@ -478,8 +400,9 @@ func (n *Node) WarmUp(ctx context.Context) error {
 // the anti-entropy tick that picks up a healed partition or a peer rebuild
 // without waiting for a query to need the shard. Re-admitting an unchanged
 // shard is a fenced no-op (same stamp), so a quiet cluster pays one fetch
-// per peer per tick and zero generation churn. Errors are absorbed: an
-// unreachable peer is the degraded-fallback path's job, not the loop's.
+// per peer per tick and zero generation churn. Errors are absorbed: each
+// tick is the retry of the last one's failures, and until a shard is
+// admitted, estimates that need it answer degraded.
 func (n *Node) ReplicateLoop(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
@@ -502,41 +425,37 @@ func (n *Node) ReplicateLoop(ctx context.Context, interval time.Duration) {
 }
 
 // Estimate answers the query through the degradation ladder over the
-// node's merged statistics view. When every shard is admitted — the steady
-// state — the cost over a single-node ladder is one atomic load. When
-// shards are missing, Estimate first tries to replicate the owners the
-// query actually needs, spending at most ONE fetch attempt per owner (the
-// per-call deadline, no backoff retries — the anti-entropy loop owns
-// retrying, a query's latency budget does not); owners that stay
-// unreachable cap the ladder at the GVM tier with
-// `remote-shard-unavailable: <peer>/<reason>` provenance, so the answer
-// comes from local statistics rather than an error. Estimate never fails:
-// the contract of robust.Estimator carries through unchanged.
+// node's merged statistics view; it never calls the transport. When every
+// shard is admitted — the steady state — the cost over a single-node ladder
+// is one atomic load and a length check. When the query needs shards
+// replication has not admitted, the ladder is capped at the GVM tier with
+// one `remote-shard-unavailable: <peer>/<cause>, ...` reason naming every
+// such owner, so the answer comes from local statistics rather than an
+// error. Estimate never fails: the contract of robust.Estimator carries
+// through unchanged.
 func (n *Node) Estimate(ctx context.Context, q *engine.Query, cfg robust.Config) (float64, robust.Provenance) {
-	ms, cfg := n.fetchMissing(ctx, q, cfg)
-	return ms.ladderFor(cfg).Cardinality(ctx, q)
-}
-
-// fetchMissing performs the estimate path's bounded on-demand replication:
-// one fetch attempt per missing owner the query needs, degradation
-// provenance for each that stays unreachable. It returns the view to
-// estimate over and the (possibly capped) ladder config.
-func (n *Node) fetchMissing(ctx context.Context, q *engine.Query, cfg robust.Config) (*merged, robust.Config) {
 	ms := n.cur.Load()
-	if len(ms.missing) == 0 {
-		return ms, cfg
-	}
-	peers := n.neededPeers(q, ms)
-	if len(peers) == 0 {
-		return ms, cfg
-	}
-	for _, peer := range peers {
-		if err := n.replicate(ctx, peer, 1); err != nil {
-			cfg = cfg.Cap(robust.TierGVM, robust.RemoteUnavailableReason(string(peer), errorReason(err)))
+	if len(ms.missing) > 0 {
+		if peers := n.neededPeers(q, ms); len(peers) > 0 {
+			cfg = cfg.Cap(robust.TierGVM, n.unavailableReason(peers))
 			n.degraded.Add(1)
 		}
 	}
-	return n.cur.Load(), cfg // successful replications installed a new view
+	return ms.ladderFor(cfg).Cardinality(ctx, q)
+}
+
+// unavailableReason names each missing owner with the cause of its last
+// failed Replicate.
+func (n *Node) unavailableReason(peers []NodeID) string {
+	var b strings.Builder
+	b.WriteString(robust.RemoteUnavailablePrefix + ": ")
+	for i, peer := range peers {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(peer) + "/" + *n.causes[peer].Load())
+	}
+	return b.String()
 }
 
 // neededPeers returns, sorted, the currently missing shard owners the
@@ -547,7 +466,7 @@ func (n *Node) neededPeers(q *engine.Query, ms *merged) []NodeID {
 	for _, p := range q.Preds {
 		for _, attr := range predAttrs(p) {
 			owner := n.ring.OwnerOfAttr(n.cat, attr)
-			if owner != n.cfg.Self && ms.missingSet[owner] && !seen[owner] {
+			if owner != n.cfg.Self && ms.missing[owner] && !seen[owner] {
 				seen[owner] = true
 				peers = append(peers, owner)
 			}
@@ -572,8 +491,6 @@ func errorReason(err error) string {
 	switch {
 	case errors.Is(err, ErrPartitioned):
 		return "partitioned"
-	case errors.Is(err, ErrBreakerOpen):
-		return "breaker-open"
 	case errors.Is(err, errStaleFrame):
 		return "stale-epoch"
 	case errors.Is(err, ErrUnknownPeer):
@@ -593,16 +510,13 @@ type Counters struct {
 	Nodes            int    // membership size
 	PeersAdmitted    int    // peers with an admitted replica
 	PeersMissing     int    // peers with no admitted replica
-	PeersTripped     int    // peers whose breaker is currently open
 	Epoch            uint64 // this node's rebuild epoch
 	LocalGeneration  uint64 // local shard content generation
 	MergedGeneration uint64 // merged pool content generation
 	Replications     int64  // admitted peer frames
-	ReplFailures     int64  // replicate calls that gave up
+	ReplFailures     int64  // failed Replicate calls
 	FenceRejections  int64  // frames refused by the generation vector
-	Degraded         int64  // estimates degraded by an unreachable shard
-	Retries          int64  // fetch retries beyond first attempts
-	BreakerTrips     int64  // cumulative breaker trips across peers
+	Degraded         int64  // estimates degraded by a shard not yet admitted
 }
 
 // Counters returns the snapshot.
@@ -612,7 +526,7 @@ func (n *Node) Counters() Counters {
 	admitted := len(n.replicas)
 	localGen := n.local.Generation()
 	n.mu.Unlock()
-	c := Counters{
+	return Counters{
 		Nodes:            len(n.ring.Nodes()),
 		PeersAdmitted:    admitted,
 		PeersMissing:     len(ms.missing),
@@ -623,13 +537,5 @@ func (n *Node) Counters() Counters {
 		ReplFailures:     n.replFailures.Load(),
 		FenceRejections:  n.vec.Rejected(),
 		Degraded:         n.degraded.Load(),
-		Retries:          n.retries.Load(),
 	}
-	for _, br := range n.breakers {
-		if br.Tripped() {
-			c.PeersTripped++
-		}
-		c.BreakerTrips += br.Trips()
-	}
-	return c
 }

@@ -14,8 +14,8 @@ import (
 // stamp, empty payload) and reads back the peer's shard frame. No
 // connection pooling: shard fetches are rare (warm-up, post-rebuild
 // re-replication, partition recovery), and one-shot connections make the
-// failure model trivial — any broken link is one failed fetch, retried by
-// the caller's backoff/breaker machinery.
+// failure model trivial — any broken link is one failed fetch, retried at
+// the caller's next replication tick.
 
 // TCPTransport implements Transport over real sockets given a peer address
 // book.
@@ -116,7 +116,7 @@ func (n *Node) ServeReplication(ctx context.Context, ln net.Listener) error {
 // handleReplication answers one inbound fetch.
 func (n *Node) handleReplication(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
-	deadline := n.cfg.Now().Add(connTimeout)
+	deadline := time.Now().Add(connTimeout)
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
@@ -127,7 +127,7 @@ func (n *Node) handleReplication(ctx context.Context, conn net.Conn) {
 	// empty, and the cap-0 read enforces that before allocating — the
 	// listener is unauthenticated, so a declared payload length must not
 	// buy an attacker a 64 MiB allocation. A malformed request is dropped —
-	// the client's read then fails and its retry machinery owns the rest.
+	// the client's read then fails and its next replication tick retries.
 	if _, err := ReadFrameLimit(conn, 0); err != nil {
 		return
 	}

@@ -6,26 +6,24 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"condsel/internal/faults"
 )
 
 // Transport moves shard frames between nodes. Implementations must honor
-// the context (deadline and cancellation) and may fail with any error; the
-// caller's retry/breaker/fallback machinery owns turning failures into
-// degraded-but-answered estimates.
+// the context (deadline and cancellation) and may fail with any error; only
+// replication calls Fetch, and a failed fetch is retried at the next
+// ReplicateLoop tick while estimates that need the shard answer degraded.
 type Transport interface {
 	// Fetch asks peer for its current shard frame on behalf of from.
 	Fetch(ctx context.Context, from, peer NodeID) (*Frame, error)
 }
 
 // Sentinel transport errors. They surface (through errorReason) in the
-// `remote-shard-unavailable: <peer>/<reason>` provenance, so they are short
+// `remote-shard-unavailable: <peer>/<cause>` provenance, so they are short
 // and stable.
 var (
 	ErrPartitioned = errors.New("partitioned")
-	ErrBreakerOpen = errors.New("breaker-open")
 	ErrUnknownPeer = errors.New("unknown-peer")
 )
 
@@ -110,7 +108,8 @@ func (t *MemTransport) Fetch(ctx context.Context, from, peer NodeID) (*Frame, er
 		return nil, ErrPartitioned
 	}
 	if fs.Fire(faults.NetSlowPeer) {
-		if err := sleepCtx(ctx, fs.SlowFactorDelay); err != nil {
+		fs.Sleep(ctx)
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -140,21 +139,4 @@ func (t *MemTransport) Fetch(ctx context.Context, from, peer NodeID) (*Frame, er
 		wire = wire[:len(wire)/2]
 	}
 	return ReadFrame(bytes.NewReader(wire))
-}
-
-// sleepCtx waits d or until the context is done, whichever first — the
-// sanctioned ctx-aware wait (ctxflow forbids blind time.Sleep on request
-// paths).
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
 }

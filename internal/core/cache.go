@@ -11,8 +11,8 @@ import (
 // generation (globally unique per pool content — see sit.Pool.Generation),
 // and the packed structural signature of the predicate set. The generation
 // component guarantees entries can never be served across different pools or
-// across mutations of the same pool; the epoch-retirement eviction in the
-// lifecycle manager matches on it structurally. Building a key is pure
+// across mutations of the same pool; RetireGeneration matches on it
+// structurally when a publisher retires a generation. Building a key is pure
 // integer work over the run's precomputed per-position signature tables —
 // no strings, no allocation.
 type CacheKey struct {

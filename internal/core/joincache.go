@@ -74,15 +74,18 @@ func HistJoinCacheStats() selcache.Stats { return histJoinCache.Stats() }
 // its counters (test and benchmark isolation).
 func ResetHistJoinCache() { histJoinCache.Reset() }
 
-// EvictHistJoinGeneration drops every histogram-join cache entry computed
-// against the given pool generation and returns how many were dropped. The
-// lifecycle manager calls it when an epoch is retired: the old generation's
-// keys can never be requested again (generations are process-wide unique),
-// so the entries are pure dead weight. Entries of other generations are
-// untouched. The match is structural — the key carries the generation as an
-// integer field, not a string prefix.
-func EvictHistJoinGeneration(gen uint64) int {
-	return histJoinCache.EvictIf(func(k histJoinKey) bool {
-		return k.gen == gen
-	})
+// RetireGeneration drops every cache entry computed against a retired pool
+// generation — the cross-query selectivity cache's (when cache is non-nil)
+// and the process-wide histogram-join cache's — and returns how many were
+// dropped. Whoever publishes a new pool generation calls it for the one it
+// replaced: generations are process-wide unique, so the retired keys can
+// never be requested again and the entries are pure dead weight. Entries of
+// other generations are untouched. Both matches are structural — the keys
+// carry the generation as an integer field, not a string prefix.
+func RetireGeneration(cache *SelCacheStore, gen uint64) int {
+	n := 0
+	if cache != nil {
+		n = cache.EvictIf(func(k CacheKey) bool { return k.Gen == gen })
+	}
+	return n + histJoinCache.EvictIf(func(k histJoinKey) bool { return k.gen == gen })
 }

@@ -771,17 +771,7 @@ func (m *Manager) publish(id string, s *sit.SIT) {
 	m.syncQuarantineLocked()
 	m.mu.Unlock()
 
-	m.evictGeneration(oldGen)
-}
-
-// evictGeneration purges generation-stamped cache entries of a retired
-// epoch from the attached cross-query cache and the process-wide
-// histogram-join cache.
-func (m *Manager) evictGeneration(gen uint64) {
-	if c := m.cfg.Cache; c != nil {
-		c.EvictIf(func(k core.CacheKey) bool { return k.Gen == gen })
-	}
-	core.EvictHistJoinGeneration(gen)
+	core.RetireGeneration(m.cfg.Cache, oldGen)
 }
 
 // sleep waits out a backoff delay, honoring cancellation.

@@ -108,16 +108,11 @@ type Config struct {
 }
 
 // RemoteUnavailablePrefix opens every provenance reason recorded when a
-// remote statistics shard could not be reached and the local ladder
-// answered instead; CI greps for it when asserting that every degraded
-// answer under a partition carries provenance.
+// remote statistics shard had not been replicated and the local ladder
+// answered instead (`remote-shard-unavailable: <peer>/<cause>, ...`); CI
+// greps for it when asserting that every degraded answer under a partition
+// carries provenance.
 const RemoteUnavailablePrefix = "remote-shard-unavailable"
-
-// RemoteUnavailableReason formats the Cap reason for an unreachable remote
-// shard: `remote-shard-unavailable: <peer>/<cause>`.
-func RemoteUnavailableReason(peer, cause string) string {
-	return RemoteUnavailablePrefix + ": " + peer + "/" + cause
-}
 
 func (c Config) skipReason() string {
 	if c.SkipReason == "" {

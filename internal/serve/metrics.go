@@ -227,7 +227,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, kv := range []struct {
 			state string
 			n     int
-		}{{"admitted", cc.PeersAdmitted}, {"missing", cc.PeersMissing}, {"tripped", cc.PeersTripped}} {
+		}{{"admitted", cc.PeersAdmitted}, {"missing", cc.PeersMissing}} {
 			fmt.Fprintf(w, "condsel_cluster_peers{state=%q} %d\n", kv.state, kv.n)
 		}
 		fmt.Fprintf(w, "# HELP condsel_cluster_epoch This node's rebuild epoch (fencing major component).\n# TYPE condsel_cluster_epoch gauge\n")
@@ -238,16 +238,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "condsel_cluster_merged_generation %d\n", cc.MergedGeneration)
 		fmt.Fprintf(w, "# HELP condsel_cluster_replications_total Peer shard frames admitted.\n# TYPE condsel_cluster_replications_total counter\n")
 		fmt.Fprintf(w, "condsel_cluster_replications_total %d\n", cc.Replications)
-		fmt.Fprintf(w, "# HELP condsel_cluster_replication_failures_total Replicate calls that exhausted their retries.\n# TYPE condsel_cluster_replication_failures_total counter\n")
+		fmt.Fprintf(w, "# HELP condsel_cluster_replication_failures_total Failed shard replications (one fetch each; the next anti-entropy tick retries).\n# TYPE condsel_cluster_replication_failures_total counter\n")
 		fmt.Fprintf(w, "condsel_cluster_replication_failures_total %d\n", cc.ReplFailures)
 		fmt.Fprintf(w, "# HELP condsel_cluster_fence_rejections_total Frames refused by epoch/generation fencing.\n# TYPE condsel_cluster_fence_rejections_total counter\n")
 		fmt.Fprintf(w, "condsel_cluster_fence_rejections_total %d\n", cc.FenceRejections)
-		fmt.Fprintf(w, "# HELP condsel_cluster_degraded_total Estimates answered from the local ladder because a peer shard was unreachable.\n# TYPE condsel_cluster_degraded_total counter\n")
+		fmt.Fprintf(w, "# HELP condsel_cluster_degraded_total Estimates answered from the local ladder because a needed peer shard was not yet admitted.\n# TYPE condsel_cluster_degraded_total counter\n")
 		fmt.Fprintf(w, "condsel_cluster_degraded_total %d\n", cc.Degraded)
-		fmt.Fprintf(w, "# HELP condsel_cluster_retries_total Shard fetch retries beyond first attempts.\n# TYPE condsel_cluster_retries_total counter\n")
-		fmt.Fprintf(w, "condsel_cluster_retries_total %d\n", cc.Retries)
-		fmt.Fprintf(w, "# HELP condsel_cluster_breaker_trips_total Cumulative per-peer breaker trips.\n# TYPE condsel_cluster_breaker_trips_total counter\n")
-		fmt.Fprintf(w, "condsel_cluster_breaker_trips_total %d\n", cc.BreakerTrips)
 	}
 }
 

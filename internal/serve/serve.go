@@ -122,16 +122,13 @@ type ClusterCounters struct {
 	Nodes            int    // membership size
 	PeersAdmitted    int    // peers with an admitted replica
 	PeersMissing     int    // peers with no admitted replica
-	PeersTripped     int    // peers whose breaker is currently open
 	Epoch            uint64 // this node's rebuild epoch
 	LocalGeneration  uint64 // local shard content generation
 	MergedGeneration uint64 // merged pool content generation
 	Replications     int64  // admitted peer frames
-	ReplFailures     int64  // replicate calls that gave up
+	ReplFailures     int64  // failed Replicate calls
 	FenceRejections  int64  // frames refused by the generation vector
-	Degraded         int64  // estimates degraded by an unreachable shard
-	Retries          int64  // fetch retries beyond first attempts
-	BreakerTrips     int64  // cumulative breaker trips across peers
+	Degraded         int64  // estimates degraded by a shard not yet admitted
 }
 
 func (c Config) withDefaults() Config {

@@ -395,10 +395,10 @@ func TestMetricsClusterGauges(t *testing.T) {
 	f := newTestFixture(6)
 	s := f.server(t, Config{Cluster: func() ClusterCounters {
 		return ClusterCounters{
-			Nodes: 3, PeersAdmitted: 1, PeersMissing: 1, PeersTripped: 1,
+			Nodes: 3, PeersAdmitted: 1, PeersMissing: 1,
 			Epoch: 2, LocalGeneration: 7, MergedGeneration: 9,
 			Replications: 4, ReplFailures: 2, FenceRejections: 1,
-			Degraded: 5, Retries: 3, BreakerTrips: 1,
+			Degraded: 5,
 		}
 	}})
 	rec := httptest.NewRecorder()
@@ -408,7 +408,6 @@ func TestMetricsClusterGauges(t *testing.T) {
 		"condsel_cluster_nodes":                      3,
 		`condsel_cluster_peers{state="admitted"}`:    1,
 		`condsel_cluster_peers{state="missing"}`:     1,
-		`condsel_cluster_peers{state="tripped"}`:     1,
 		"condsel_cluster_epoch":                      2,
 		"condsel_cluster_local_generation":           7,
 		"condsel_cluster_merged_generation":          9,
@@ -416,8 +415,6 @@ func TestMetricsClusterGauges(t *testing.T) {
 		"condsel_cluster_replication_failures_total": 2,
 		"condsel_cluster_fence_rejections_total":     1,
 		"condsel_cluster_degraded_total":             5,
-		"condsel_cluster_retries_total":              3,
-		"condsel_cluster_breaker_trips_total":        1,
 	} {
 		if got := samples[series]; got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
