@@ -39,8 +39,9 @@
 // fault-injection point in turn and records which ladder tiers answer.
 // -fig lifecycle measures the statistics lifecycle manager: un-armed
 // hot-path overhead of the manager-fronted estimator (contract: ≤ 1%),
-// rebuild + hot-swap throughput, and crash-safe snapshot write/recover
-// latency. -fig soak runs the internal/soak harness: -tables sizes the
+// rebuild throughput over unchanged data (every rebuild reproduces its
+// statistic, so the swaps reported next to it are 0), and crash-safe
+// snapshot write/recover latency. -fig soak runs the internal/soak harness: -tables sizes the
 // grown schema, -cycles runs that many compressed arcs (deterministic event
 // log, the CI mode), -duration keeps cycling until the clock expires, and
 // -phases selects a subset of the arc. -fig serve drives the estimation

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -486,7 +487,9 @@ func predAttrs(p engine.Pred) []engine.AttrID {
 
 // errorReason compresses a replication error to the short cause recorded
 // in provenance: sentinel errors keep their name, context errors map to
-// "deadline"/"canceled", anything else becomes "fetch-failed".
+// "deadline"/"canceled" (a socket read past the fetch deadline, which fails
+// with os.ErrDeadlineExceeded, is a deadline too), anything else becomes
+// "fetch-failed".
 func errorReason(err error) string {
 	switch {
 	case errors.Is(err, ErrPartitioned):
@@ -495,7 +498,7 @@ func errorReason(err error) string {
 		return "stale-epoch"
 	case errors.Is(err, ErrUnknownPeer):
 		return "unknown-peer"
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, context.Canceled):
 		return "canceled"

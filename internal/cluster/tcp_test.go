@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +165,70 @@ func TestReplicationListenerRejectsRequestPayload(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeReplication did not exit after cancellation")
+	}
+}
+
+// TestTCPSilentPeerReadsDeadline: a peer that accepts the connection and
+// never answers fails the fetch at its deadline with a socket timeout
+// (os.ErrDeadlineExceeded, not context.DeadlineExceeded), and the
+// provenance of every degraded estimate names it as <peer>/deadline.
+func TestTCPSilentPeerReadsDeadline(t *testing.T) {
+	fx := newClusterFixture(t)
+	ids := HarnessIDs(2)
+	ring, err := NewRing(ids, 0)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	var held []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn) // accepted, read from nobody, never answered
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-accepted
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+
+	cfg := fastConfig()
+	cfg.Nodes = ids
+	cfg.Self = ids[0]
+	n, err := NewNode(cfg, fx.cat, ring.Shard(fx.pool, ids[0]),
+		NewTCPTransport(map[NodeID]string{ids[1]: ln.Addr().String()}))
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	ctx := context.Background()
+	err = n.Replicate(ctx, ids[1])
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("fetch from a silent peer: %v, want a socket deadline error", err)
+	}
+	degraded := 0
+	for _, q := range fx.queries {
+		_, prov := n.Estimate(ctx, q, robust.Config{})
+		if prov.Tier == robust.TierFullDP {
+			continue
+		}
+		degraded++
+		if !strings.Contains(prov.FallbackReason, string(ids[1])+"/deadline") {
+			t.Fatalf("%s: provenance %q does not name %s/deadline", q, prov.FallbackReason, ids[1])
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no estimate needed the silent peer's shard")
 	}
 }

@@ -700,6 +700,27 @@ func (r *Run) Explain(set engine.PredSet) string {
 	return sb.String()
 }
 
+// SITsRead returns the pool's 1-D statistics the chosen decomposition of set
+// reads, in factor order. A derived SIT (§3.3 Example 3) stands for its
+// Source, the pool statistic it was derived from; its 2-D input is not a 1-D
+// statistic and is not returned. A fallback factor reads none; a statistic
+// read by two factors appears twice. The slice is the caller's and outlives
+// Release.
+func (r *Run) SITsRead(set engine.PredSet) []*sit.SIT {
+	var out []*sit.SIT
+	for _, f := range r.decompose(set).factors {
+		for _, s := range f.SITs {
+			if s != nil && s.Source != nil {
+				s = s.Source
+			}
+			if s != nil {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
 // trueConditional returns the exact Sel(pred|cond), caching per run. It is
 // only available when the estimator has an oracle.
 func (r *Run) trueConditional(pred int, cond engine.PredSet) float64 {

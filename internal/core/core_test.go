@@ -3,12 +3,15 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"condsel/internal/datagen"
 	"condsel/internal/engine"
 	"condsel/internal/histogram"
 	"condsel/internal/sit"
+	"condsel/internal/workload"
 )
 
 // fixture is the §1 motivating scenario in miniature: customers with a
@@ -360,6 +363,108 @@ func TestExplainMentionsChosenSITs(t *testing.T) {
 	}
 	if !strings.Contains(out, "SIT(") && !strings.Contains(out, "H(") {
 		t.Fatalf("Explain lists no statistics:\n%s", out)
+	}
+}
+
+// TestSITsReadNamesTheDecomposition: SITsRead returns the pool statistics
+// that Explain names, one per non-fallback read, the same on a cache hit as
+// on the computing run, and none when every factor falls back.
+func TestSITsReadNamesTheDecomposition(t *testing.T) {
+	t.Parallel()
+	f := newFixture(41, 60, 300)
+	pool := f.pool(2)
+	est := NewEstimator(f.cat, pool, Diff{})
+	est.Cache = NewSelCache(1 << 10)
+	full := f.query.All()
+	for set := engine.PredSet(1); set <= full; set++ {
+		if !set.SubsetOf(full) {
+			continue
+		}
+		cold := est.NewRun(f.query)
+		read := cold.SITsRead(set)
+		out := cold.Explain(set)
+		cold.Release()
+		if want := strings.Count(out, "H(") + strings.Count(out, "SIT("); len(read) != want {
+			t.Fatalf("set %b: %d statistics read, Explain names %d:\n%s", set, len(read), want, out)
+		}
+		for _, s := range read {
+			if pool.Lookup(s.ID()) != s || !strings.Contains(out, s.Name(f.cat)) {
+				t.Fatalf("set %b: %s is not a pool statistic Explain names:\n%s", set, s.Name(f.cat), out)
+			}
+		}
+		warm := est.NewRun(f.query)
+		if hit := warm.SITsRead(set); !slices.Equal(hit, read) {
+			t.Fatalf("set %b: a cache hit reads %v, the computing run %v", set, hit, read)
+		}
+		warm.Release()
+	}
+	empty := NewEstimator(f.cat, sit.NewPool(f.cat), Diff{}).NewRun(f.query)
+	if read := empty.SITsRead(full); len(read) != 0 {
+		t.Fatalf("an all-fallback decomposition reads %d statistics", len(read))
+	}
+}
+
+// TestSITsReadNamesDerivedSource: a derived SIT (§3.3 Example 3) is read
+// through its Source, the pool statistic its 2-D input was joined against.
+// SITsRead returns the Source in the derived SIT's place, on the computing
+// run and on a cache hit, including Sources that no other factor reads.
+func TestSITsReadNamesDerivedSource(t *testing.T) {
+	t.Parallel()
+	db := datagen.Generate(datagen.Config{Seed: 31, FactRows: 1500})
+	queries, err := workload.NewGenerator(db, workload.Config{Seed: 31, NumQueries: 6, Joins: 2, Filters: 2}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sit.NewBuilder(db.Cat)
+	pool := sit.BuildWorkloadPool(b, queries, 1)
+	if _, err := sit.Build2DBaseSITs(b, pool, queries); err != nil {
+		t.Fatal(err)
+	}
+	est := NewEstimator(db.Cat, pool, Diff{})
+	est.Cache = NewSelCache(1 << 12)
+	onlyViaSource := 0
+	for qi, q := range queries {
+		run := est.NewRun(q)
+		var want, stored, sources []*sit.SIT
+		for _, f := range run.decompose(q.All()).factors {
+			for _, s := range f.SITs {
+				switch {
+				case s == nil:
+					continue
+				case pool.Lookup(s.ID()) == s:
+					stored = append(stored, s)
+				case s.Source == nil || pool.Lookup(s.Source.ID()) != s.Source:
+					t.Fatalf("query %d: %s is neither a pool statistic nor derived from one", qi, s.Name(db.Cat))
+				default:
+					sources = append(sources, s.Source)
+					s = s.Source
+				}
+				want = append(want, s)
+			}
+		}
+		read := run.SITsRead(q.All())
+		run.Release()
+		warm := est.NewRun(q)
+		hit := warm.SITsRead(q.All())
+		warm.Release()
+		if !slices.Equal(read, want) || !slices.Equal(hit, want) {
+			names := func(ss []*sit.SIT) []string {
+				out := make([]string, len(ss))
+				for i, s := range ss {
+					out[i] = s.Name(db.Cat)
+				}
+				return out
+			}
+			t.Fatalf("query %d: SITsRead %v, on a cache hit %v, want %v", qi, names(read), names(hit), names(want))
+		}
+		for _, src := range sources {
+			if !slices.Contains(stored, src) {
+				onlyViaSource++
+			}
+		}
+	}
+	if onlyViaSource == 0 {
+		t.Fatal("every derived SIT's Source is also read directly; the fixture cannot tell the rules apart")
 	}
 }
 

@@ -96,6 +96,7 @@ func (r *Run) derive(joinPred int, s2d *sit.SIT2D, other *sit.SIT) *sit.SIT {
 			diff = histogram.Diff(base.Hist, yHist)
 		}
 		d = sit.NewSIT(q.Cat, s2d.Y, expr, yHist, diff)
+		d.Source = other
 	}
 	r.derivedMemo[key] = d
 	return d

@@ -192,6 +192,7 @@ func TestReleasedRunContract(t *testing.T) {
 		{"EstimateCardinality", false, func(r *Run) string { r.EstimateCardinality(all); return "" }},
 		{"EstimateGroups", false, func(r *Run) string { r.EstimateGroups(attr, all); return "" }},
 		{"Explain", false, func(r *Run) string { r.Explain(all); return "" }},
+		{"SITsRead", false, func(r *Run) string { r.SITsRead(all); return "" }},
 		{"ApproxFactor", false, func(r *Run) string { r.ApproxFactor(0, 0); return "" }},
 		{"GreedyChainSelectivity", false, func(r *Run) string { r.GreedyChainSelectivity(all); return "" }},
 		{"IndependenceSelectivity", false, func(r *Run) string { r.IndependenceSelectivity(all); return "" }},

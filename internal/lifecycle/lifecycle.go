@@ -1,8 +1,9 @@
 // Package lifecycle keeps a statistics pool healthy across a long-running
 // process: it detects drifting statistics from execution feedback, schedules
-// rebuilds under capped deterministic backoff, publishes each rebuilt
-// statistic by hot-swapping a fresh pool epoch, and checkpoints the whole
-// state crash-safely so a restart resumes where the previous process died.
+// rebuilds under capped deterministic backoff, publishes each rebuild that
+// changes a statistic by hot-swapping a fresh pool epoch, and checkpoints the
+// whole state crash-safely so a restart resumes where the previous process
+// died.
 //
 // The manager never mutates a live pool. A rebuild derives a replacement
 // pool (sit.Pool.Rebuilt) sharing every untouched statistic; the new epoch
@@ -10,17 +11,26 @@
 // against the old one. Pool generations are process-wide unique, so the
 // generation-keyed cross-query caches (internal/selcache) can never serve a
 // value across the swap; retired generations' entries are evicted eagerly.
+// A rebuild that reproduces the statistic the pool serves publishes nothing:
+// the epoch, its generation and the caches stay as they are.
 //
 // Statistics move through a small state machine:
 //
 //	healthy ──drift/quarantine──▶ stale ──worker──▶ rebuilding
-//	rebuilding ──success──▶ healthy (new epoch)      │
-//	rebuilding ──failure──▶ stale (backoff, retry)   │ MaxRetries
-//	                                                 ▼
-//	                                               parked
+//	rebuilding ──changed──▶ healthy (new epoch)
+//	rebuilding ──reproduced──▶ structural (no epoch)
+//	rebuilding ──failure──▶ stale (backoff, retry)
+//	rebuilding ──MaxRetries failures──▶ parked
+//	structural ──drift ≥ threshold × baseline / quarantine──▶ stale
 //
-// Parked statistics are out of the rebuild loop for good (until an operator
-// Revive) with the reason recorded — repeated failure must not become a tight
+// Feedback charges an observation's q-error to the statistics the observed
+// epoch's chosen decomposition read, nothing else. A structural statistic's
+// error is the decomposition's independence assumptions, which no rebuild
+// lowers: its baseline is the EWMA its reproduced rebuild found, falling
+// with the EWMA afterwards, and drift flags it again only at DriftThreshold
+// times that baseline (healthy statistics have baseline 1). Parked
+// statistics are out of the rebuild loop for good (until an operator Revive)
+// with the reason recorded — repeated failure must not become a tight
 // rebuild loop. Every transition is observable through Health.
 //
 // When the estimation hot path is fronted by a Manager, its only added cost
@@ -33,6 +43,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,7 +113,9 @@ type Config struct {
 	Keep int
 
 	// Cache, when non-nil, is attached to every epoch's estimator and
-	// eagerly purged of retired generations' entries on hot-swap.
+	// eagerly purged of retired generations' entries on hot-swap. Feedback
+	// on a query estimated through the epoch finds the decomposition it
+	// charges there; without it every observation runs the query's full DP.
 	Cache *core.SelCacheStore
 
 	// Rebuild overrides how statistics are rebuilt (nil: execute the
@@ -174,6 +188,9 @@ const (
 	// StateParked: rebuilds failed MaxRetries times (or no spec is known);
 	// out of the loop until revived, reason recorded.
 	StateParked
+	// StateStructural: in service; its last rebuild reproduced it, so its
+	// feedback error is structural and drift is judged against a baseline.
+	StateStructural
 )
 
 // String names the state as reported in Health and snapshots.
@@ -187,6 +204,8 @@ func (s State) String() string {
 		return "rebuilding"
 	case StateParked:
 		return "parked"
+	case StateStructural:
+		return "structural"
 	}
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
@@ -201,6 +220,8 @@ func parseState(s string) State {
 		return StateStale
 	case "parked":
 		return StateParked
+	case "structural":
+		return StateStructural
 	}
 	return StateStale
 }
@@ -218,9 +239,10 @@ type sitState struct {
 	state    State
 	ewma     float64 // q-error EWMA of feedback observations
 	obs      int     // observations accumulated since last heal
+	baseline float64 // drift flags at DriftThreshold × baseline; ≥ 1
 	attempts int     // rebuild attempts in the current stale episode
-	healed   int     // successful rebuilds over the manager's lifetime
-	reason   string  // why stale/parked
+	healed   int     // rebuilds that published a changed statistic
+	reason   string  // why stale/parked/structural
 	queued   bool    // sitting in the rebuild queue
 	spec     *spec   // rebuild spec (nil when unknown → parks)
 }
@@ -235,11 +257,16 @@ type epoch struct {
 }
 
 // StatusRecord is one statistic's lifecycle state as reported by Health.
+// Baseline is the structural error: the EWMA a reproduced rebuild found, or
+// the lowest EWMA since then (1 until a rebuild is reproduced); drift flags
+// the statistic at DriftThreshold × Baseline. Healed counts rebuilds that
+// published.
 type StatusRecord struct {
 	ID       string
 	State    State
 	EWMA     float64
 	Obs      int
+	Baseline float64
 	Attempts int
 	Healed   int
 	Reason   string
@@ -251,13 +278,15 @@ type Health struct {
 	Stale      int
 	Rebuilding int
 	Parked     int
+	Structural int
 
 	// PoolGeneration is the published epoch's current pool generation.
 	PoolGeneration uint64
 	// Rebuilds / Failures / Swaps / DroppedObservations are lifetime
-	// counters: successful rebuilds, failed attempts, epoch hot-swaps, and
-	// feedback observations discarded for being computed against a retired
-	// epoch.
+	// counters: successful rebuilds (reproduced ones included), failed
+	// attempts, epoch hot-swaps (one per rebuild that changed a statistic),
+	// and feedback observations discarded for being computed against a
+	// retired epoch.
 	Rebuilds            int64
 	Failures            int64
 	Swaps               int64
@@ -362,7 +391,7 @@ func Open(cat *engine.Catalog, fallback *sit.Pool, cfg Config) (*Manager, error)
 	}
 	for _, qr := range snap.Quarantined {
 		st := m.stateLocked(qr.ID)
-		if st.state == StateHealthy {
+		if st.inService() {
 			m.markStaleLocked(st, "restored quarantine: "+qr.Reason)
 		}
 	}
@@ -379,6 +408,7 @@ func (m *Manager) restoreStateLocked(rec *stateRecord) {
 	st.reason = rec.Reason
 	st.ewma = rec.EWMA
 	st.obs = rec.Obs
+	st.baseline = math.Max(1, rec.Baseline) // absent before structural existed
 	st.healed = rec.Healed
 	if rec.Spec != nil {
 		if attr, expr, err := decodeSpec(m.cat, rec.Spec); err == nil {
@@ -477,7 +507,7 @@ func (m *Manager) worker(ctx context.Context) {
 func (m *Manager) stateLocked(id string) *sitState {
 	st, ok := m.states[id]
 	if !ok {
-		st = &sitState{id: id}
+		st = &sitState{id: id, baseline: 1}
 		if s := m.ep.Load().pool.Lookup(id); s != nil {
 			st.spec = &spec{attr: s.Attr, expr: s.Expr}
 		}
@@ -488,7 +518,7 @@ func (m *Manager) stateLocked(id string) *sitState {
 
 // markStaleLocked transitions a statistic to stale and queues it. The drift
 // accumulator keeps its value (it documents why the statistic went stale)
-// until a successful rebuild resets it.
+// until a rebuild that changes the statistic resets it.
 func (m *Manager) markStaleLocked(st *sitState, reason string) {
 	if st.state == StateParked || st.state == StateRebuilding {
 		return
@@ -513,13 +543,19 @@ func (m *Manager) enqueueLocked(st *sitState) {
 	}
 }
 
+// inService reports whether the statistic is serving and not yet handled by
+// the rebuild loop: healthy or structural.
+func (st *sitState) inService() bool {
+	return st.state == StateHealthy || st.state == StateStructural
+}
+
 // syncQuarantineLocked folds the published pool's quarantine ledger into the
 // state machine: every quarantined statistic that is not already being
 // handled goes stale (a rebuild is how quarantine heals).
 func (m *Manager) syncQuarantineLocked() {
 	for _, rec := range m.ep.Load().pool.HealthSnapshot().Records {
 		st := m.stateLocked(rec.ID)
-		if st.state == StateHealthy {
+		if st.inService() {
 			m.markStaleLocked(st, "quarantined: "+rec.Reason)
 		}
 	}
@@ -585,20 +621,36 @@ func (m *Manager) ObserveAt(gen uint64, q *engine.Query, set engine.PredSet, est
 	m.observe(ep, q, set, estCard, trueCard)
 }
 
-// observe updates the q-error EWMA of every statistic involved in the
-// estimate and marks threshold-crossers stale.
+// observe charges the observation's q-error to the pool statistics that the
+// epoch's chosen decomposition of (q, set) read (a derived SIT charges the
+// pool statistic it was derived from), and marks those whose EWMA reaches
+// DriftThreshold × baseline stale. A structural statistic's baseline follows
+// its EWMA down, so error that another statistic's drift once charged to it
+// does not outlast that drift. The decomposition is recomputed on the
+// epoch's estimator outside m.mu: with the epoch's cross-query cache warm it
+// is a cache hit, without one it is a full DP of the query. The charge
+// assumes the answer came from the full DP: a lower ladder tier reads other
+// statistics, which the observation does not name.
 func (m *Manager) observe(ep *epoch, q *engine.Query, set engine.PredSet, estCard, trueCard float64) {
-	qerr := qError(estCard, trueCard)
-	involved := involvedSITs(ep.pool, q, set)
-	if len(involved) == 0 {
+	run := ep.est.NewRun(q)
+	read := run.SITsRead(set)
+	run.Release()
+	charged := read[:0]
+	for _, s := range read {
+		if !slices.Contains(charged, s) {
+			charged = append(charged, s)
+		}
+	}
+	if len(charged) == 0 {
 		return
 	}
+	qerr := qError(estCard, trueCard)
 	alpha := m.cfg.alpha()
 	thresh := m.cfg.driftThreshold()
 	minObs := m.cfg.minObservations()
 
 	m.mu.Lock()
-	for _, s := range involved {
+	for _, s := range charged {
 		st := m.stateLocked(s.ID())
 		if st.spec == nil {
 			st.spec = &spec{attr: s.Attr, expr: s.Expr}
@@ -609,8 +661,11 @@ func (m *Manager) observe(ep *epoch, q *engine.Query, set engine.PredSet, estCar
 			st.ewma = alpha*qerr + (1-alpha)*st.ewma
 		}
 		st.obs++
-		if st.state == StateHealthy && st.obs >= minObs && st.ewma >= thresh {
-			m.markStaleLocked(st, fmt.Sprintf("drift: q-error EWMA %.2f ≥ %.2f over %d observations", st.ewma, thresh, st.obs))
+		if st.state == StateStructural {
+			st.baseline = math.Max(1, math.Min(st.baseline, st.ewma))
+		}
+		if limit := thresh * st.baseline; st.inService() && st.obs >= minObs && st.ewma >= limit {
+			m.markStaleLocked(st, fmt.Sprintf("drift: q-error EWMA %.2f ≥ %.2f over %d observations", st.ewma, limit, st.obs))
 		}
 	}
 	m.mu.Unlock()
@@ -629,30 +684,8 @@ func qError(est, truth float64) float64 {
 	return a / b
 }
 
-// involvedSITs returns the pool statistics an estimate for (q, set) could
-// have drawn on: non-base SITs whose expression is contained in the set,
-// and base histograms of attributes the set's predicates reference.
-func involvedSITs(pool *sit.Pool, q *engine.Query, set engine.PredSet) []*sit.SIT {
-	attrs := make(map[engine.AttrID]bool)
-	for _, i := range set.Indices() {
-		for _, a := range q.Preds[i].Attrs() {
-			attrs[a] = true
-		}
-	}
-	var out []*sit.SIT
-	for _, s := range pool.SITs() {
-		if !attrs[s.Attr] {
-			continue
-		}
-		if s.IsBase() || s.MatchesSubset(q.Preds, set) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // process handles one queued statistic: rebuild with retries under the
-// deterministic backoff schedule, hot-swap on success, park on exhaustion.
+// deterministic backoff schedule, publish on success, park on exhaustion.
 // Cancellation mid-backoff returns the statistic to stale (it re-enters the
 // queue on the next Start's quarantine/stale sync or observation).
 func (m *Manager) process(ctx context.Context, id string) {
@@ -746,32 +779,50 @@ func (m *Manager) park(id, reason string) {
 	m.mu.Unlock()
 }
 
-// publish hot-swaps a new epoch containing the rebuilt statistic. Swaps are
-// serialized by m.mu so concurrent workers cannot lose each other's
-// statistic; the store itself is atomic, so readers switch epochs without
-// ever seeing a half-built pool. Retired generations' cache entries are
-// evicted eagerly — their keys can never be requested again.
+// publish installs a successful rebuild. A rebuild that reproduces what the
+// published pool serves (sit.Pool.Serves) would change no answer, so it
+// publishes nothing: no epoch, no generation bump, no cache purge. The
+// statistic's feedback error is then structural (the independence
+// assumptions of the decompositions that read it), and its EWMA becomes the
+// baseline drift is judged against. Any other rebuild hot-swaps a new epoch
+// and resets the baseline to 1. Swaps are serialized by m.mu so concurrent
+// workers cannot lose each other's statistic; the store itself is atomic, so
+// readers switch epochs without ever seeing a half-built pool. The retired
+// generation's cache entries are evicted eagerly — their keys can never be
+// requested again.
 func (m *Manager) publish(id string, s *sit.SIT) {
 	m.mu.Lock()
-	old := m.ep.Load()
-	oldGen := old.pool.Generation()
-	next := m.newEpoch(old.pool.Rebuilt(s))
-	m.ep.Store(next)
-
-	st := m.stateLocked(id)
-	st.state = StateHealthy
-	st.reason = ""
-	st.attempts = 0
-	st.ewma = 0
-	st.obs = 0
-	st.healed++
-	st.spec = &spec{attr: s.Attr, expr: s.Expr}
 	m.rebuilds.Add(1)
-	m.swaps.Add(1)
-	m.syncQuarantineLocked()
+	old := m.ep.Load()
+	st := m.stateLocked(id)
+	st.attempts = 0
+	if old.pool.Serves(s) {
+		st.state = StateStructural
+		st.baseline = math.Max(1, st.ewma)
+		st.reason = fmt.Sprintf("structural: the rebuild reproduced the statistic at q-error EWMA %.2f", st.baseline)
+		m.mu.Unlock()
+		return
+	}
+	m.ep.Store(m.newEpoch(old.pool.Rebuilt(s)))
 	m.mu.Unlock()
 
-	core.RetireGeneration(m.cfg.Cache, oldGen)
+	// The purge scans the whole cache, so it runs outside m.mu; it still
+	// precedes counting the swap and the statistic leaving rebuilding, so a
+	// caller that waits for either finds none of the entries the retired
+	// generation held at the swap.
+	core.RetireGeneration(m.cfg.Cache, old.pool.Generation())
+
+	m.mu.Lock()
+	m.swaps.Add(1)
+	st.state = StateHealthy
+	st.reason = ""
+	st.ewma = 0
+	st.obs = 0
+	st.baseline = 1
+	st.healed++
+	st.spec = &spec{attr: s.Attr, expr: s.Expr}
+	m.syncQuarantineLocked()
+	m.mu.Unlock()
 }
 
 // sleep waits out a backoff delay, honoring cancellation.
@@ -834,6 +885,9 @@ func (m *Manager) Checkpoint() (string, error) {
 			Obs:      st.obs,
 			Healed:   st.healed,
 		}
+		if st.baseline > 1 {
+			rec.Baseline = st.baseline
+		}
 		if st.spec != nil {
 			rec.Spec = encodeSpec(m.cat, st.spec.attr, st.spec.expr)
 		}
@@ -864,6 +918,7 @@ func (m *Manager) Checkpoint() (string, error) {
 // state counts and lifetime counters, no per-statistic records.
 type Counters struct {
 	Healthy, Stale, Rebuilding, Parked    int
+	Structural                            int
 	PoolGeneration                        uint64
 	Rebuilds, Failures, Swaps, DroppedObs int64
 	CheckpointSeq                         uint64
@@ -895,6 +950,8 @@ func (m *Manager) CountersSnapshot() Counters {
 			c.Rebuilding++
 		case StateParked:
 			c.Parked++
+		case StateStructural:
+			c.Structural++
 		}
 	}
 	m.mu.Unlock()
@@ -925,7 +982,7 @@ func (m *Manager) Health() Health {
 	h.States = make([]StatusRecord, 0, len(m.states))
 	for _, st := range m.states {
 		h.States = append(h.States, StatusRecord{
-			ID: st.id, State: st.state, EWMA: st.ewma, Obs: st.obs,
+			ID: st.id, State: st.state, EWMA: st.ewma, Obs: st.obs, Baseline: st.baseline,
 			Attempts: st.attempts, Healed: st.healed, Reason: st.reason,
 		})
 	}
@@ -941,6 +998,8 @@ func (m *Manager) Health() Health {
 			h.Rebuilding++
 		case StateParked:
 			h.Parked++
+		case StateStructural:
+			h.Structural++
 		}
 	}
 	// Pool statistics with no state record yet are healthy by definition.

@@ -161,11 +161,12 @@ func stopWithoutCheckpoint(m *Manager) error {
 	return nil
 }
 
-// TestDriftDetectRebuildHotSwap: observations with large q-error mark the
-// involved statistics stale; workers rebuild them; each rebuild publishes a
-// new epoch whose generation differs; manager-fronted estimates through a
-// shared cross-query cache stay bit-identical to a cache-free estimator over
-// the published pool (no mixed-epoch cache value can be served); retired
+// TestDriftDetectRebuildHotSwap: after the data drifts (Reskew), observations
+// with large q-error mark the statistics the estimate read stale; workers
+// rebuild them from the changed data; each changed rebuild publishes a new
+// epoch whose generation differs; manager-fronted estimates through a shared
+// cross-query cache stay bit-identical to a cache-free estimator over the
+// published pool (no mixed-epoch cache value can be served); retired
 // generations' cache entries are purged; and epoch-guarded observations
 // against the retired generation are dropped.
 func TestDriftDetectRebuildHotSwap(t *testing.T) {
@@ -189,16 +190,18 @@ func TestDriftDetectRebuildHotSwap(t *testing.T) {
 	// Warm the shared cache against the first epoch.
 	_ = estimateAll(m.Estimator(), queries)
 
-	if err := m.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-
-	// Execution feedback: estimates off by 1000× on the first query.
+	// The data drifts, then execution feedback reports estimates off by
+	// 1000× on the first query. The workers start after the feedback, so
+	// every observation is charged against the first epoch.
+	db.Reskew(7, 3.0, true)
 	q := queries[0]
 	for i := 0; i < 4; i++ {
 		m.Observe(q, q.All(), 10, 10_000)
 	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
 	waitFor(t, "drifted statistics to be rebuilt and swapped", func() bool {
 		h := m.Health()
 		return h.Swaps >= 1 && h.Stale == 0 && h.Rebuilding == 0

@@ -61,6 +61,7 @@ type snapshotPayload struct {
 }
 
 // stateRecord is the persisted form of one statistic's lifecycle state.
+// Baseline is written only above 1; a record without it loads with 1.
 type stateRecord struct {
 	ID       string     `json:"id"`
 	State    string     `json:"state"`
@@ -68,6 +69,7 @@ type stateRecord struct {
 	Reason   string     `json:"reason,omitempty"`
 	EWMA     float64    `json:"ewma,omitempty"`
 	Obs      int        `json:"obs,omitempty"`
+	Baseline float64    `json:"baseline,omitempty"`
 	Healed   int        `json:"healed,omitempty"`
 	Spec     *specShape `json:"spec,omitempty"`
 }

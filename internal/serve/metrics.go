@@ -202,7 +202,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, kv := range []struct {
 			state string
 			n     int
-		}{{"healthy", lc.Healthy}, {"stale", lc.Stale}, {"rebuilding", lc.Rebuilding}, {"parked", lc.Parked}} {
+		}{{"healthy", lc.Healthy}, {"stale", lc.Stale}, {"rebuilding", lc.Rebuilding}, {"parked", lc.Parked}, {"structural", lc.Structural}} {
 			fmt.Fprintf(w, "condsel_lifecycle_statistics{state=%q} %d\n", kv.state, kv.n)
 		}
 		fmt.Fprintf(w, "# HELP condsel_lifecycle_rebuilds_total Completed statistics rebuilds.\n# TYPE condsel_lifecycle_rebuilds_total counter\n")

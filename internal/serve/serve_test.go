@@ -15,6 +15,7 @@ import (
 
 	"condsel/internal/core"
 	"condsel/internal/engine"
+	"condsel/internal/lifecycle"
 	"condsel/internal/robust"
 	"condsel/internal/sit"
 )
@@ -426,6 +427,43 @@ func TestMetricsClusterGauges(t *testing.T) {
 	bare.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if strings.Contains(rec.Body.String(), "condsel_cluster_") {
 		t.Fatal("cluster series rendered with no Cluster source configured")
+	}
+}
+
+// TestMetricsLifecycleStructural: a rebuild over unchanged data shows on
+// /metrics as one structural statistic, one rebuild and no swap.
+func TestMetricsLifecycleStructural(t *testing.T) {
+	t.Parallel()
+	f := newTestFixture(6)
+	m := lifecycle.New(f.cat, f.pool, lifecycle.Config{Workers: 1})
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	if id := f.pool.SITs()[0].ID(); !m.MarkStale(id, "test") {
+		t.Fatalf("MarkStale(%q) = false", id)
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if c := m.CountersSnapshot(); c.Rebuilds == 1 && c.Stale == 0 && c.Rebuilding == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebuild did not settle: %+v", m.CountersSnapshot())
+		}
+	}
+	s := f.server(t, Config{Lifecycle: m})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	samples := parsePrometheus(t, rec.Body.String())
+	for series, want := range map[string]float64{
+		`condsel_lifecycle_statistics{state="structural"}`: 1,
+		`condsel_lifecycle_statistics{state="stale"}`:      0,
+		"condsel_lifecycle_rebuilds_total":                 1,
+		"condsel_lifecycle_swaps_total":                    0,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
 }
 

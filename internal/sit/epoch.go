@@ -1,6 +1,11 @@
 package sit
 
-import "sort"
+import (
+	"math"
+	"sort"
+
+	"condsel/internal/histogram"
+)
 
 // Epoch support for the statistics lifecycle manager (internal/lifecycle):
 // a rebuilt SIT is never patched into a live pool — readers may hold the
@@ -8,13 +13,51 @@ import "sort"
 // ("epoch") that shares every untouched statistic and carries a fresh
 // generation. In-flight runs finish against the old epoch; new runs pick up
 // the new one; generation-keyed caches (internal/selcache) can never mix the
-// two because no two pools ever share a generation stamp.
+// two because no two pools ever share a generation stamp. A rebuild the pool
+// already serves (Serves) is not published at all.
 
 // Lookup returns the pool's SIT with the given canonical ID, quarantined or
 // not, or nil when the ID is unknown. Lifecycle rebuilds use it to recover
 // the attribute/expression spec of a statistic that has been pulled from
 // service.
 func (p *Pool) Lookup(id string) *SIT { return p.byID[id] }
+
+// Serves reports whether the pool serves s's exact content: it holds a
+// statistic with s's ID, that statistic is not quarantined, and the two
+// have the same content (SameContent). A rebuild the pool already serves
+// would change no answer, so the lifecycle manager publishes only rebuilds
+// for which Serves is false.
+func (p *Pool) Serves(s *SIT) bool {
+	cur := p.byID[s.ID()]
+	return cur != nil && !p.isQuarantined(cur.ID()) && cur.SameContent(s)
+}
+
+// SameContent reports whether s and t are the same statistic bit for bit:
+// equal IDs, Diff, Rows, TotalRows and buckets, every float compared by its
+// bits. A statistic rebuilt from unchanged data reproduces its content
+// exactly, since the builder is deterministic.
+func (s *SIT) SameContent(t *SIT) bool {
+	return s.ID() == t.ID() && sameBits(s.Diff, t.Diff) && sameHist(s.Hist, t.Hist)
+}
+
+// sameHist compares two histograms bit for bit (nil equals only nil).
+func sameHist(a, b *histogram.Histogram) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !sameBits(a.Rows, b.Rows) || !sameBits(a.TotalRows, b.TotalRows) || len(a.Buckets) != len(b.Buckets) {
+		return false
+	}
+	for i, x := range a.Buckets {
+		y := b.Buckets[i]
+		if x.Lo != y.Lo || x.Hi != y.Hi || !sameBits(x.Count, y.Count) || !sameBits(x.Distinct, y.Distinct) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // Rebuilt returns a new pool — a fresh epoch — with the same contents as p
 // except that the statistic with s.ID() is replaced by s. Quarantine state

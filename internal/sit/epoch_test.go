@@ -1,10 +1,12 @@
 package sit
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"condsel/internal/engine"
+	"condsel/internal/histogram"
 )
 
 // epochPool builds a pool with a base histogram and two SITs on distinct
@@ -141,5 +143,50 @@ func TestRebuiltCarriesQuarantinedSpecs(t *testing.T) {
 		if s.ID() == other.ID() {
 			t.Fatal("quarantined SIT served by the new epoch")
 		}
+	}
+}
+
+// TestSameContentBitExact: SameContent compares ID, Diff, Rows, TotalRows
+// and every bucket by their bits, and Serves holds only for the pool's
+// unquarantined statistic of that content.
+func TestSameContentBitExact(t *testing.T) {
+	t.Parallel()
+	cat, a, p, target := epochPool(t)
+	same := NewSIT(cat, target.Attr, target.Expr, validHist(), target.Diff)
+	if !same.SameContent(target) || !p.Serves(same) {
+		t.Fatal("an identical rebuild is not recognized")
+	}
+	differ := map[string]*SIT{
+		"ID":        NewSIT(cat, a["l.qty"], target.Expr, validHist(), target.Diff),
+		"Diff":      NewSIT(cat, target.Attr, target.Expr, validHist(), math.Nextafter(target.Diff, 1)),
+		"Diff sign": NewSIT(cat, a["o.price"], nil, validHist(), math.Copysign(0, -1)),
+		"no hist":   NewSIT(cat, target.Attr, target.Expr, nil, target.Diff),
+	}
+	for name, mutate := range map[string]func(*histogram.Histogram){
+		"Rows":      func(h *histogram.Histogram) { h.Rows = math.Nextafter(h.Rows, 0) },
+		"TotalRows": func(h *histogram.Histogram) { h.TotalRows = h.Rows },
+		"Lo":        func(h *histogram.Histogram) { h.Buckets[0].Lo++ },
+		"Hi":        func(h *histogram.Histogram) { h.Buckets[0].Hi-- },
+		"Count":     func(h *histogram.Histogram) { h.Buckets[0].Count = math.Nextafter(h.Buckets[0].Count, 0) },
+		"Distinct":  func(h *histogram.Histogram) { h.Buckets[0].Distinct-- },
+		"buckets": func(h *histogram.Histogram) {
+			h.Buckets = append(h.Buckets, histogram.Bucket{Lo: 10, Hi: 10, Count: 0, Distinct: 0})
+		},
+	} {
+		h := validHist()
+		mutate(h)
+		differ[name] = NewSIT(cat, target.Attr, target.Expr, h, target.Diff)
+	}
+	for name, s := range differ {
+		base := target
+		if name == "Diff sign" {
+			base = p.Lookup(s.ID())
+		}
+		if s.SameContent(base) || base.SameContent(s) || p.Serves(s) {
+			t.Fatalf("%s: a different statistic compares as the same content", name)
+		}
+	}
+	if !p.Quarantine(target.ID(), "test") || p.Serves(same) {
+		t.Fatal("a quarantined statistic is still served")
 	}
 }

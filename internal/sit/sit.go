@@ -28,6 +28,10 @@ type SIT struct {
 	Tables engine.TableSet
 	Hist   *histogram.Histogram
 	Diff   float64
+	// Source is set only on a SIT derived during estimation (§3.3 Example
+	// 3): the stored 1-D statistic of the other join side that its 2-D
+	// input was joined against. Stored statistics have none.
+	Source *SIT
 
 	exprSet exprSet // canonical predicate values of Expr
 	id      string  // canonical identity, precomputed (ID is hot)

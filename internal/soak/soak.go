@@ -411,11 +411,12 @@ func (h *Harness) estimationPhase(ctx context.Context, cycle int, phase string, 
 // set — estimates pinned to the pre-drift epoch, truths from a fresh
 // evaluator — drives the q-error EWMAs over the drift threshold, the rebuild
 // workers heal the marked statistics, and each publication hot-swaps a new
-// epoch and purges the retired generation's cache entries. One rebuild
-// attempt per cycle is made to fail (faults.RebuildFail) to exercise the
-// retry/backoff path. The phase ends with a bit-identity check: the
-// manager-fronted estimates must equal a cache-free estimator over the
-// published pool.
+// epoch and purges the retired generation's cache entries (a marked
+// statistic the reskew did not change rebuilds to the same content and
+// publishes nothing). One rebuild attempt per cycle is made to fail
+// (faults.RebuildFail) to exercise the retry/backoff path. The phase ends
+// with a bit-identity check: the manager-fronted estimates must equal a
+// cache-free estimator over the published pool.
 //
 // The feedback burst runs with the shard's rebuild workers stopped. With
 // workers live, an early rebuild hot-swaps the epoch mid-burst and the

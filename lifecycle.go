@@ -12,7 +12,8 @@ import (
 // selects the package defaults: drift threshold 4 (estimates off by 4×
 // either way), 8 observations before the drift accumulator is trusted, 2
 // rebuild workers, 3 attempts before a statistic parks, 50ms–5s backoff, and
-// 2 retained snapshot generations.
+// 2 retained snapshot generations. Each manager gives its epochs a
+// cross-query cache of 16,384 entries.
 type LifecycleOptions struct {
 	// Model is the error model estimates are produced under (default Diff).
 	Model Model
@@ -42,11 +43,18 @@ type LifecycleOptions struct {
 	Keep int
 }
 
-func (o *LifecycleOptions) internal() lifecycle.Config {
+// lifecycleCacheEntries bounds the cross-query cache that a manager's epochs
+// share. Feedback is charged to the decomposition its query's estimate read;
+// for a query estimated through Manager.Estimator that decomposition is
+// then a cache hit instead of a second full DP.
+const lifecycleCacheEntries = 1 << 14
+
+func (o *LifecycleOptions) internal(cache *SelCache) lifecycle.Config {
 	if o == nil {
-		return lifecycle.Config{}
+		return lifecycle.Config{Cache: cache.c}
 	}
 	return lifecycle.Config{
+		Cache:           cache.c,
 		Model:           o.Model.internal(),
 		DriftThreshold:  o.DriftThreshold,
 		MinObservations: o.MinObservations,
@@ -63,18 +71,23 @@ func (o *LifecycleOptions) internal() lifecycle.Config {
 // Manager keeps a statistics pool healthy across a long-running process: it
 // detects drifting statistics from execution feedback, rebuilds stale and
 // quarantined ones under capped deterministic backoff, publishes each rebuild
-// by hot-swapping a fresh pool epoch (in-flight estimates finish against the
-// old one), and — when a snapshot directory is configured — checkpoints the
-// whole state crash-safely. See DESIGN.md "Statistics lifecycle".
+// that changes a statistic by hot-swapping a fresh pool epoch (in-flight
+// estimates finish against the old one; a rebuild that reproduces the
+// statistic publishes nothing), and — when a snapshot directory is
+// configured — checkpoints the whole state crash-safely. Its epochs share a
+// bounded cross-query cache, purged of each generation a swap retires. See
+// DESIGN.md "Statistics lifecycle".
 type Manager struct {
-	db *DB
-	m  *lifecycle.Manager
+	db    *DB
+	m     *lifecycle.Manager
+	cache *SelCache
 }
 
 // NewLifecycle returns a manager over the pool. The pool must not be mutated
 // directly afterwards; every change goes through the manager's epochs.
 func (db *DB) NewLifecycle(pool *Pool, opts *LifecycleOptions) *Manager {
-	return &Manager{db: db, m: lifecycle.New(db.cat, pool.pool, opts.internal())}
+	cache := NewSelCache(lifecycleCacheEntries)
+	return &Manager{db: db, m: lifecycle.New(db.cat, pool.pool, opts.internal(cache)), cache: cache}
 }
 
 // OpenLifecycle recovers a manager from opts.Dir: the newest snapshot that
@@ -87,11 +100,12 @@ func (db *DB) OpenLifecycle(fallback *Pool, opts *LifecycleOptions) (*Manager, e
 	if fallback != nil {
 		fb = fallback.pool
 	}
-	m, err := lifecycle.Open(db.cat, fb, opts.internal())
+	cache := NewSelCache(lifecycleCacheEntries)
+	m, err := lifecycle.Open(db.cat, fb, opts.internal(cache))
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{db: db, m: m}, nil
+	return &Manager{db: db, m: m, cache: cache}, nil
 }
 
 // Start launches the rebuild workers; cancel the context (or call Stop) to
@@ -112,9 +126,9 @@ func (m *Manager) Pool() *Pool {
 // Estimator returns an estimator over the published epoch. Like Pool, the
 // value is pinned to the current epoch; an optimizer that wants every query
 // to see the freshest statistics calls Estimator per query (the cost is one
-// atomic load).
+// atomic load). Its Cache is the manager's cross-query cache.
 func (m *Manager) Estimator() *Estimator {
-	return &Estimator{db: m.db, est: m.m.Estimator()}
+	return &Estimator{db: m.db, est: m.m.Estimator(), cache: m.cache}
 }
 
 // Generation returns the published pool generation — the stamp that keys
@@ -122,9 +136,13 @@ func (m *Manager) Estimator() *Estimator {
 func (m *Manager) Generation() uint64 { return m.m.Generation() }
 
 // Observe feeds one execution-feedback observation: the estimated and actual
-// cardinality of a query. Statistics involved in the estimate accumulate the
-// observation's q-error; crossing the drift threshold queues them for
-// rebuild.
+// cardinality of a query. The statistics that the published epoch's chosen
+// decomposition of the query reads accumulate the observation's q-error;
+// crossing the drift threshold (times a structural statistic's baseline)
+// queues them for rebuild. Observe looks the decomposition up in the
+// manager's cache, where an estimate through Estimator left it; otherwise it
+// recomputes the query's full DP. The charge assumes a full-DP answer: an
+// answer from a lower ladder tier is charged to the full-DP decomposition.
 func (m *Manager) Observe(q *Query, estimated, actual float64) {
 	m.m.Observe(q.q, q.q.All(), estimated, actual)
 }
@@ -146,8 +164,11 @@ func (m *Manager) SyncQuarantine() { m.m.SyncQuarantine() }
 func (m *Manager) Checkpoint() (string, error) { return m.m.Checkpoint() }
 
 // LifecycleState is a statistic's position in the lifecycle state machine,
-// as the string the manager reports: "healthy", "stale", "rebuilding" or
-// "parked".
+// as the string the manager reports: "healthy", "stale", "rebuilding",
+// "parked" or "structural". A structural statistic is in service: its last
+// rebuild reproduced it, so its feedback error comes from the independence
+// assumptions of the decompositions that read it, and drift flags it again
+// only at the drift threshold times its Baseline.
 type LifecycleState = string
 
 // LifecycleRecord is one statistic's lifecycle state.
@@ -158,11 +179,16 @@ type LifecycleRecord struct {
 	QErrEWMA float64
 	// Observations accumulated since the last heal.
 	Observations int
+	// Baseline is the structural error: the EWMA a reproduced rebuild found,
+	// or the lowest EWMA since then; 1 until a rebuild is reproduced. Drift
+	// flags the statistic at the drift threshold times Baseline.
+	Baseline float64
 	// Attempts is the rebuild attempt count of the current stale episode.
 	Attempts int
-	// Healed counts successful rebuilds over the manager's lifetime.
+	// Healed counts rebuilds that published a changed statistic over the
+	// manager's lifetime.
 	Healed int
-	// Reason says why the statistic is stale or parked.
+	// Reason says why the statistic is stale, parked or structural.
 	Reason string
 }
 
@@ -183,12 +209,14 @@ type LifecycleHealth struct {
 	Stale      int
 	Rebuilding int
 	Parked     int
+	Structural int
 
 	// PoolGeneration is the published epoch's generation.
 	PoolGeneration uint64
-	// Rebuilds and Failures count successful rebuilds and failed attempts;
-	// Swaps counts epoch publications; DroppedObservations counts feedback
-	// discarded for belonging to a retired epoch.
+	// Rebuilds and Failures count successful rebuilds (reproduced ones
+	// included) and failed attempts; Swaps counts epoch publications, one
+	// per rebuild that changed a statistic; DroppedObservations counts
+	// feedback discarded for belonging to a retired epoch.
 	Rebuilds            int64
 	Failures            int64
 	Swaps               int64
@@ -210,6 +238,7 @@ func (m *Manager) Health() LifecycleHealth {
 		Stale:               h.Stale,
 		Rebuilding:          h.Rebuilding,
 		Parked:              h.Parked,
+		Structural:          h.Structural,
 		PoolGeneration:      h.PoolGeneration,
 		Rebuilds:            h.Rebuilds,
 		Failures:            h.Failures,
@@ -228,6 +257,7 @@ func (m *Manager) Health() LifecycleHealth {
 			State:        rec.State.String(),
 			QErrEWMA:     rec.EWMA,
 			Observations: rec.Obs,
+			Baseline:     rec.Baseline,
 			Attempts:     rec.Attempts,
 			Healed:       rec.Healed,
 			Reason:       rec.Reason,

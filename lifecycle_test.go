@@ -38,9 +38,34 @@ func TestLifecycleFrontingIsFree(t *testing.T) {
 	}
 }
 
-// TestLifecycleHealsDriftedStatistic drives the full public loop: feedback
-// with large errors marks statistics stale, the workers rebuild and hot-swap
-// them, and Health reports the heal.
+// TestLifecycleObserveHitsManagerCache: feedback on a query estimated
+// through the manager finds the decomposition it charges in the manager's
+// cross-query cache, so Observe costs a cache hit, not a second full DP.
+func TestLifecycleObserveHitsManagerCache(t *testing.T) {
+	t.Parallel()
+	db, queries, pool := lifecycleWorld(t)
+	m := db.NewLifecycle(pool, nil)
+	est := m.Estimator()
+	if est.Cache() == nil {
+		t.Fatal("a manager-fronted estimator has no cache")
+	}
+	for i, q := range queries {
+		ans := est.Estimate(context.Background(), q)
+		before := est.Cache().Stats()
+		m.Observe(q, ans.Cardinality, 2*ans.Cardinality)
+		after := est.Cache().Stats()
+		if after.Misses != before.Misses || after.Hits != before.Hits+1 {
+			t.Fatalf("query %d: Observe moved the cache from %+v to %+v, want one hit and no miss", i, before, after)
+		}
+	}
+}
+
+// TestLifecycleHealsDriftedStatistic drives the full public loop over data
+// the public API cannot change: feedback with large errors marks the
+// statistics the estimate read stale, the workers rebuild them, every
+// rebuild reproduces its statistic, and Health reports the structural
+// verdict: the rebuilds are counted, no epoch is swapped in, the generation
+// stays, and the statistics read "structural" with their baseline.
 func TestLifecycleHealsDriftedStatistic(t *testing.T) {
 	t.Parallel()
 	db, queries, pool := lifecycleWorld(t)
@@ -62,24 +87,28 @@ func TestLifecycleHealsDriftedStatistic(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		h := m.Health()
-		if h.Swaps >= 1 && h.Stale == 0 && h.Rebuilding == 0 {
+		if h.Rebuilds >= 1 && h.Stale == 0 && h.Rebuilding == 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	h := m.Health()
-	if h.Swaps < 1 {
-		t.Fatalf("no hot-swap after drift: %+v", h)
+	if h.Rebuilds < 1 || h.Stale != 0 || h.Rebuilding != 0 {
+		t.Fatalf("drift feedback did not settle into counted rebuilds: %+v", h)
 	}
-	if m.Generation() == gen0 {
-		t.Fatal("hot-swap did not advance the pool generation")
+	if h.Swaps != 0 {
+		t.Fatalf("a reproduced rebuild hot-swapped: %+v", h)
 	}
-	healed := 0
+	if m.Generation() != gen0 {
+		t.Fatal("a reproduced rebuild advanced the pool generation")
+	}
+	if h.Structural != int(h.Rebuilds) {
+		t.Fatalf("%d structural statistics after %d reproduced rebuilds", h.Structural, h.Rebuilds)
+	}
 	for _, rec := range h.States {
-		healed += rec.Healed
-	}
-	if healed == 0 {
-		t.Fatalf("no statistic reports a heal: %+v", h.States)
+		if rec.State != "structural" || rec.Baseline < 2 || rec.Reason == "" || rec.Healed != 0 {
+			t.Fatalf("statistic %s after a reproduced rebuild: %+v", rec.ID, rec)
+		}
 	}
 }
 
