@@ -69,15 +69,16 @@ func (c *SelCache) Reset() { c.c.Reset() }
 // returns the estimator for chaining. Subsequent estimation calls seed their
 // per-query memo from the cache and publish fresh results back. Passing nil
 // detaches any cache. Attach or detach before estimation starts, not
-// concurrently with it.
+// concurrently with it. The cache is attached to this estimator's own copy
+// of its configuration, so no other estimator — another Manager.Estimator
+// of the same epoch, say — changes cache with it.
 func (e *Estimator) UseCache(c *SelCache) *Estimator {
-	if c == nil {
-		e.est.Cache = nil
-		e.cache = nil
-		return e
+	est := *e.est
+	est.Cache = nil
+	if c != nil {
+		est.Cache = c.c
 	}
-	e.est.Cache = c.c
-	e.cache = c
+	e.est, e.cache = &est, c
 	return e
 }
 

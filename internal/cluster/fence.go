@@ -68,9 +68,9 @@ func (s Stamp) String() string { return fmt.Sprintf("e%d/g%d", s.Epoch.n, s.Gen)
 // GenVector is the cluster-wide generation vector: the newest admitted
 // stamp per peer. It is the fence — Admit refuses anything not strictly
 // newer — and the invalidation signal: when Admit moves a peer's stamp
-// forward, every selectivity cached against a merged pool containing the
-// peer's previous shard must be evicted (the caller owns that; see
-// Node.installReplica).
+// forward, the caller publishes a new merged pool under a new generation
+// (Node.installLocked), so no estimate reads a selectivity cached against
+// the peer's previous shard again; the cache's LRU ages those entries out.
 type GenVector struct {
 	mu       sync.Mutex
 	admitted map[NodeID]Stamp

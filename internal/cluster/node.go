@@ -50,7 +50,8 @@ type Config struct {
 	Model core.ErrorModel
 	// Cache, when non-nil, is the cross-query selectivity cache shared by
 	// the merged estimators. Entries are keyed by merged-pool generation,
-	// so admitting a newer peer shard retires them (see installLocked).
+	// so admitting a newer peer shard orphans them and the LRU ages them
+	// out (see installLocked).
 	Cache *core.SelCacheStore
 
 	// FetchDeadline bounds each remote fetch (0: DefaultFetchDeadline).
@@ -266,8 +267,8 @@ func (n *Node) RebuildLocal(pool *sit.Pool) {
 }
 
 // installLocked rebuilds the merged pool from the local shard plus every
-// admitted replica and publishes it, retiring the previous merged
-// generation from the caches. Callers hold n.mu.
+// admitted replica and publishes it under a new generation; the previous
+// merged generation's cache entries age out of the LRU. Callers hold n.mu.
 func (n *Node) installLocked() {
 	pool := sit.NewPool(n.cat)
 	for _, s := range n.local.SITs() {
@@ -305,13 +306,10 @@ func (n *Node) installLocked() {
 	if n.cfg.Cache != nil {
 		est.Cache = n.cfg.Cache
 	}
-	prev := n.cur.Swap(&merged{
+	n.cur.Store(&merged{
 		pool: pool, est: est, ladder: robust.New(est, robust.Config{}),
 		missing: missing,
 	})
-	if prev != nil {
-		core.RetireGeneration(n.cfg.Cache, prev.pool.Generation())
-	}
 }
 
 // Replicate fetches the peer's current shard once, fences it against the

@@ -150,14 +150,14 @@ func (r *Run) SelectivityGuarded(set engine.PredSet) (res Result, fallbackReason
 	return out, ""
 }
 
-// GreedyChainSelectivity is the budgeted-DP tier of the degradation ladder:
+// greedyChainSelectivity is the budgeted-DP tier of the degradation ladder:
 // instead of enumerating every decomposition (Figure 3), it builds one chain
 // greedily — at each step the remaining predicate whose conditional factor
 // scores the lowest model error is peeled off — for O(n²) factor
 // approximations instead of an exponential enumeration. The result is an
 // admissible (often identical, never better-scored) decomposition of the
 // same factor space the DP searches.
-func (r *Run) GreedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
+func (r *Run) greedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
 	sel = 1
 	var scratch [2]*sit.SIT // a singleton factor uses at most two SITs
 	for !set.Empty() {
@@ -179,24 +179,24 @@ func (r *Run) GreedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
 	return sel, errSum
 }
 
-// GreedyChainGuarded wraps GreedyChainSelectivity with the same budget
+// GreedyChainGuarded wraps greedyChainSelectivity with the same budget
 // honoring and panic isolation as SelectivityGuarded.
 func (r *Run) GreedyChainGuarded(set engine.PredSet) (sel, errSum float64, fallbackReason string) {
 	defer RecoverFallbackReason(&fallbackReason)
-	sel, errSum = r.GreedyChainSelectivity(set)
+	sel, errSum = r.greedyChainSelectivity(set)
 	if math.IsNaN(sel) || math.IsInf(sel, 0) || sel < 0 || sel > 1 {
 		return 0, 0, fmt.Sprintf("greedy chain selectivity %v outside [0,1]", sel)
 	}
 	return sel, errSum, ""
 }
 
-// IndependenceSelectivity is the ladder's last resort: the classic
+// independenceSelectivity is the ladder's last resort: the classic
 // attribute-value-independence estimate using base histograms only — no DP,
 // no SIT matching, no conditioning. Each filter is estimated on its base
 // histogram, each join by the histogram join of its sides' base histograms,
 // and predicates without statistics take the System R fallback constants.
 // Every per-predicate term is clamped, so the product is always in [0,1].
-func (r *Run) IndependenceSelectivity(set engine.PredSet) float64 {
+func (r *Run) independenceSelectivity(set engine.PredSet) float64 {
 	q := r.Query
 	sel := 1.0
 	for _, i := range set.Indices() {
@@ -220,12 +220,12 @@ func (r *Run) IndependenceSelectivity(set engine.PredSet) float64 {
 	return sel
 }
 
-// IndependenceGuarded wraps IndependenceSelectivity with panic isolation;
+// IndependenceGuarded wraps independenceSelectivity with panic isolation;
 // it is the tier that must not fail, so a non-empty fallbackReason here
 // means the caller should return the defined floor estimate.
 func (r *Run) IndependenceGuarded(set engine.PredSet) (sel float64, fallbackReason string) {
 	defer RecoverFallbackReason(&fallbackReason)
-	sel = r.IndependenceSelectivity(set)
+	sel = r.independenceSelectivity(set)
 	if math.IsNaN(sel) || math.IsInf(sel, 0) || sel < 0 || sel > 1 {
 		return 0, fmt.Sprintf("independence selectivity %v outside [0,1]", sel)
 	}

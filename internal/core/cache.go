@@ -11,10 +11,10 @@ import (
 // generation (globally unique per pool content — see sit.Pool.Generation),
 // and the packed structural signature of the predicate set. The generation
 // component guarantees entries can never be served across different pools or
-// across mutations of the same pool; RetireGeneration matches on it
-// structurally when a publisher retires a generation. Building a key is pure
-// integer work over the run's precomputed per-position signature tables —
-// no strings, no allocation.
+// across mutations of the same pool; once a publisher retires a generation
+// no run asks for its keys again, and the cache's LRU ages its entries out.
+// Building a key is pure integer work over the run's precomputed
+// per-position signature tables — no strings, no allocation.
 type CacheKey struct {
 	Model string
 	Gen   uint64

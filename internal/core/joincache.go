@@ -13,9 +13,11 @@ import (
 // generation: generations are process-wide unique per pool content (see
 // sit.Pool.Generation), so an entry can never be served across different
 // pools or across mutations of the same pool, and within one generation
-// equal IDs imply equal histograms. Only the selectivity (a float64) is
-// cached — approxJoin and Opt's join scoring need nothing else, and caching
-// JoinResult would pin the joined histograms in memory.
+// equal IDs imply equal histograms. Histograms never change in place, so
+// nothing invalidates an entry: a retired generation's entries are never
+// read again and age out through the LRU. Only the selectivity (a float64)
+// is cached — approxJoin and Opt's join scoring need nothing else, and
+// caching JoinResult would pin the joined histograms in memory.
 //
 // Derived SITs (§3.3 Example 3) never reach this cache: they are built for
 // filter attributes and only pool-resident SITs are candidates for join
@@ -73,19 +75,3 @@ func HistJoinCacheStats() selcache.Stats { return histJoinCache.Stats() }
 // ResetHistJoinCache empties the cross-query histogram-join cache and zeroes
 // its counters (test and benchmark isolation).
 func ResetHistJoinCache() { histJoinCache.Reset() }
-
-// RetireGeneration drops every cache entry computed against a retired pool
-// generation — the cross-query selectivity cache's (when cache is non-nil)
-// and the process-wide histogram-join cache's — and returns how many were
-// dropped. Whoever publishes a new pool generation calls it for the one it
-// replaced: generations are process-wide unique, so the retired keys can
-// never be requested again and the entries are pure dead weight. Entries of
-// other generations are untouched. Both matches are structural — the keys
-// carry the generation as an integer field, not a string prefix.
-func RetireGeneration(cache *SelCacheStore, gen uint64) int {
-	n := 0
-	if cache != nil {
-		n = cache.EvictIf(func(k CacheKey) bool { return k.Gen == gen })
-	}
-	return n + histJoinCache.EvictIf(func(k histJoinKey) bool { return k.gen == gen })
-}

@@ -194,8 +194,6 @@ func TestReleasedRunContract(t *testing.T) {
 		{"Explain", false, func(r *Run) string { r.Explain(all); return "" }},
 		{"SITsRead", false, func(r *Run) string { r.SITsRead(all); return "" }},
 		{"ApproxFactor", false, func(r *Run) string { r.ApproxFactor(0, 0); return "" }},
-		{"GreedyChainSelectivity", false, func(r *Run) string { r.GreedyChainSelectivity(all); return "" }},
-		{"IndependenceSelectivity", false, func(r *Run) string { r.IndependenceSelectivity(all); return "" }},
 		{"SelectivityGuarded", true, func(r *Run) string { _, reason := r.SelectivityGuarded(all); return reason }},
 		{"GreedyChainGuarded", true, func(r *Run) string { _, _, reason := r.GreedyChainGuarded(all); return reason }},
 		{"IndependenceGuarded", true, func(r *Run) string { _, reason := r.IndependenceGuarded(all); return reason }},

@@ -10,9 +10,10 @@
 // is published with one atomic store while in-flight estimates finish
 // against the old one. Pool generations are process-wide unique, so the
 // generation-keyed cross-query caches (internal/selcache) can never serve a
-// value across the swap; retired generations' entries are evicted eagerly.
-// A rebuild that reproduces the statistic the pool serves publishes nothing:
-// the epoch, its generation and the caches stay as they are.
+// value across the swap; no published run asks for a retired generation's
+// keys again, so the caches' LRU ages its entries out. A rebuild that
+// reproduces the statistic the pool serves publishes nothing: the epoch and
+// its generation stay as they are.
 //
 // Statistics move through a small state machine:
 //
@@ -66,7 +67,6 @@ const (
 	DefaultBackoffBase     = 50 * time.Millisecond
 	DefaultBackoffCap      = 5 * time.Second
 	DefaultKeepSnapshots   = 2
-	defaultQueueDepth      = 256
 )
 
 // RebuildFunc re-executes one statistic's generating expression and returns
@@ -112,10 +112,10 @@ type Config struct {
 	// previous generation is what recovery falls back to after a torn write).
 	Keep int
 
-	// Cache, when non-nil, is attached to every epoch's estimator and
-	// eagerly purged of retired generations' entries on hot-swap. Feedback
+	// Cache, when non-nil, is attached to every epoch's estimator. Feedback
 	// on a query estimated through the epoch finds the decomposition it
 	// charges there; without it every observation runs the query's full DP.
+	// A hot-swap leaves the retired generation's entries to the LRU.
 	Cache *core.SelCacheStore
 
 	// Rebuild overrides how statistics are rebuilt (nil: execute the
@@ -253,7 +253,6 @@ type sitState struct {
 type epoch struct {
 	pool *sit.Pool
 	est  *core.Estimator
-	gen  uint64 // pool generation at publication
 }
 
 // StatusRecord is one statistic's lifecycle state as reported by Health.
@@ -327,8 +326,12 @@ type Manager struct {
 	running bool
 	cancel  context.CancelFunc
 
-	queue chan string
-	wg    sync.WaitGroup
+	// pending is the rebuild queue, oldest first, guarded by mu. It holds
+	// each statistic at most once (sitState.queued), so it needs no bound.
+	pending []string
+	// wake carries one token to the workers while pending may be non-empty.
+	wake chan struct{}
+	wg   sync.WaitGroup
 
 	rebuilds atomic.Int64
 	failures atomic.Int64
@@ -343,7 +346,7 @@ func New(cat *engine.Catalog, pool *sit.Pool, cfg Config) *Manager {
 		cfg:    cfg,
 		cat:    cat,
 		states: make(map[string]*sitState),
-		queue:  make(chan string, defaultQueueDepth),
+		wake:   make(chan struct{}, 1),
 	}
 	if pool == nil {
 		pool = sit.NewPool(cat)
@@ -380,7 +383,7 @@ func Open(cat *engine.Catalog, fallback *sit.Pool, cfg Config) (*Manager, error)
 		cfg:    cfg,
 		cat:    cat,
 		states: make(map[string]*sitState),
-		queue:  make(chan string, defaultQueueDepth),
+		wake:   make(chan struct{}, 1),
 	}
 	m.ep.Store(m.newEpoch(pool))
 	m.mu.Lock()
@@ -431,7 +434,7 @@ func (m *Manager) newEpoch(pool *sit.Pool) *epoch {
 	if m.cfg.Cache != nil {
 		est.Cache = m.cfg.Cache
 	}
-	return &epoch{pool: pool, est: est, gen: pool.Generation()}
+	return &epoch{pool: pool, est: est}
 }
 
 // Pool returns the published epoch's pool. In-flight users keep their
@@ -493,13 +496,31 @@ func (m *Manager) Stop() error {
 // worker drains the rebuild queue until the context is canceled.
 func (m *Manager) worker(ctx context.Context) {
 	defer m.wg.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case id := <-m.queue:
-			m.process(ctx, id)
+	for ctx.Err() == nil {
+		m.mu.Lock()
+		if len(m.pending) == 0 {
+			m.mu.Unlock()
+			select {
+			case <-ctx.Done():
+			case <-m.wake:
+			}
+			continue
 		}
+		id := m.pending[0]
+		m.pending = m.pending[1:]
+		if len(m.pending) > 0 {
+			m.wakeWorker() // an idle worker takes the next one
+		}
+		m.mu.Unlock()
+		m.process(ctx, id)
+	}
+}
+
+// wakeWorker puts the wake token in its channel unless it is there already.
+func (m *Manager) wakeWorker() {
+	select {
+	case m.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -529,18 +550,16 @@ func (m *Manager) markStaleLocked(st *sitState, reason string) {
 	m.enqueueLocked(st)
 }
 
-// enqueueLocked pushes the statistic into the rebuild queue unless it is
-// already waiting. A full queue leaves it stale-but-unqueued; the next
-// observation or quarantine sync re-offers it.
+// enqueueLocked appends the statistic to the rebuild queue unless it is
+// already waiting, and wakes a worker. The queue holds each statistic at
+// most once, so it is never full and every stale statistic is queued.
 func (m *Manager) enqueueLocked(st *sitState) {
 	if st.queued {
 		return
 	}
-	select {
-	case m.queue <- st.id:
-		st.queued = true
-	default:
-	}
+	st.queued = true
+	m.pending = append(m.pending, st.id)
+	m.wakeWorker()
 }
 
 // inService reports whether the statistic is serving and not yet handled by
@@ -686,8 +705,8 @@ func qError(est, truth float64) float64 {
 
 // process handles one queued statistic: rebuild with retries under the
 // deterministic backoff schedule, publish on success, park on exhaustion.
-// Cancellation mid-backoff returns the statistic to stale (it re-enters the
-// queue on the next Start's quarantine/stale sync or observation).
+// Cancellation mid-backoff returns the statistic to the queue as stale, so
+// the next Start's workers resume it.
 func (m *Manager) process(ctx context.Context, id string) {
 	m.mu.Lock()
 	st, ok := m.states[id]
@@ -726,11 +745,12 @@ func (m *Manager) process(ctx context.Context, id string) {
 		m.mu.Unlock()
 		delay := Backoff(m.cfg.BackoffBase, m.cfg.BackoffCap, m.cfg.Seed, id, attempt)
 		if m.sleep(ctx, delay) != nil {
-			// Shutting down mid-backoff: leave the statistic stale so the
+			// Shutting down mid-backoff: queue the statistic again so the
 			// next run resumes it; never spin.
 			m.mu.Lock()
 			if st.state == StateRebuilding {
 				st.state = StateStale
+				m.enqueueLocked(st)
 			}
 			m.mu.Unlock()
 			return
@@ -781,17 +801,19 @@ func (m *Manager) park(id, reason string) {
 
 // publish installs a successful rebuild. A rebuild that reproduces what the
 // published pool serves (sit.Pool.Serves) would change no answer, so it
-// publishes nothing: no epoch, no generation bump, no cache purge. The
-// statistic's feedback error is then structural (the independence
-// assumptions of the decompositions that read it), and its EWMA becomes the
-// baseline drift is judged against. Any other rebuild hot-swaps a new epoch
-// and resets the baseline to 1. Swaps are serialized by m.mu so concurrent
-// workers cannot lose each other's statistic; the store itself is atomic, so
-// readers switch epochs without ever seeing a half-built pool. The retired
-// generation's cache entries are evicted eagerly — their keys can never be
-// requested again.
+// publishes nothing: no epoch, no generation bump. The statistic's feedback
+// error is then structural (the independence assumptions of the
+// decompositions that read it), and its EWMA becomes the baseline drift is
+// judged against. Any other rebuild hot-swaps a new epoch and, under the
+// same lock, counts the swap and returns the statistic to healthy at
+// baseline 1, so a caller that sees one sees the other. Swaps are
+// serialized by m.mu so concurrent workers cannot lose each other's
+// statistic; the store itself is atomic, so readers switch epochs without
+// ever seeing a half-built pool. The retired generation's cache entries
+// stay until the LRU evicts them: no published run asks for their keys.
 func (m *Manager) publish(id string, s *sit.SIT) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.rebuilds.Add(1)
 	old := m.ep.Load()
 	st := m.stateLocked(id)
@@ -800,19 +822,9 @@ func (m *Manager) publish(id string, s *sit.SIT) {
 		st.state = StateStructural
 		st.baseline = math.Max(1, st.ewma)
 		st.reason = fmt.Sprintf("structural: the rebuild reproduced the statistic at q-error EWMA %.2f", st.baseline)
-		m.mu.Unlock()
 		return
 	}
 	m.ep.Store(m.newEpoch(old.pool.Rebuilt(s)))
-	m.mu.Unlock()
-
-	// The purge scans the whole cache, so it runs outside m.mu; it still
-	// precedes counting the swap and the statistic leaving rebuilding, so a
-	// caller that waits for either finds none of the entries the retired
-	// generation held at the swap.
-	core.RetireGeneration(m.cfg.Cache, old.pool.Generation())
-
-	m.mu.Lock()
 	m.swaps.Add(1)
 	st.state = StateHealthy
 	st.reason = ""
@@ -822,7 +834,6 @@ func (m *Manager) publish(id string, s *sit.SIT) {
 	st.healed++
 	st.spec = &spec{attr: s.Attr, expr: s.Expr}
 	m.syncQuarantineLocked()
-	m.mu.Unlock()
 }
 
 // sleep waits out a backoff delay, honoring cancellation.

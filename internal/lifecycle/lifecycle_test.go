@@ -2,14 +2,19 @@ package lifecycle
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"condsel/internal/core"
+	"condsel/internal/datagen"
 	"condsel/internal/engine"
 	"condsel/internal/faults"
+	"condsel/internal/sit"
+	"condsel/internal/workload"
 )
 
 // The fault-injection harness is process-global, so tests in this file run
@@ -166,9 +171,8 @@ func stopWithoutCheckpoint(m *Manager) error {
 // rebuild them from the changed data; each changed rebuild publishes a new
 // epoch whose generation differs; manager-fronted estimates through a shared
 // cross-query cache stay bit-identical to a cache-free estimator over the
-// published pool (no mixed-epoch cache value can be served); retired
-// generations' cache entries are purged; and epoch-guarded observations
-// against the retired generation are dropped.
+// published pool (no mixed-epoch cache value can be served); and
+// epoch-guarded observations against the retired generation are dropped.
 func TestDriftDetectRebuildHotSwap(t *testing.T) {
 	db, queries, pool := snapEnv(t)
 	cache := core.NewSelCache(1 << 12)
@@ -211,13 +215,6 @@ func TestDriftDetectRebuildHotSwap(t *testing.T) {
 		t.Fatal("hot-swap did not change the pool generation")
 	}
 
-	// The initial generation's cache entries were evicted at the swap. (This
-	// check runs before anything re-touches the retired epoch's estimator,
-	// which would legitimately re-insert gen0-keyed entries.)
-	if n := cache.EvictIf(func(k core.CacheKey) bool { return k.Gen == gen0 }); n != 0 {
-		t.Fatalf("%d cache entries of the retired generation survived the swap", n)
-	}
-
 	// No mixed-epoch cache values: manager-fronted estimates (shared cache,
 	// warmed under the old generation) equal a cache-free estimator over the
 	// published pool, bit for bit.
@@ -243,6 +240,47 @@ func TestDriftDetectRebuildHotSwap(t *testing.T) {
 	m.ObserveAt(gen0, q, q.All(), 10, 10_000)
 	if got := m.Health().DroppedObservations; got != before+1 {
 		t.Fatalf("DroppedObservations = %d, want %d", got, before+1)
+	}
+}
+
+// TestQuarantineStormDrainsQueue: every statistic of a pool of more than
+// 256 goes stale at once — all quarantined, synced before the workers
+// start — and every one is rebuilt. A queue bounded at 256 would drop the
+// rest and leave them stale with nothing to queue them again; the queue
+// holds each statistic at most once and needs no bound, so none is dropped.
+func TestQuarantineStormDrainsQueue(t *testing.T) {
+	db := datagen.Generate(datagen.Config{Seed: 42, FactRows: 3000})
+	queries, err := workload.NewGenerator(db, workload.Config{Seed: 7, NumQueries: 40, Joins: 3, Filters: 3}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sit.BuildWorkloadPool(sit.NewBuilder(db.Cat), queries, 3)
+	sits := pool.SITs()
+	if len(sits) <= 256 {
+		t.Fatalf("the pool holds %d statistics; the storm needs more than 256", len(sits))
+	}
+	// Each rebuild reproduces its statistic over unchanged data and still
+	// publishes: the pool does not serve a quarantined statistic.
+	m := New(db.Cat, pool, Config{Workers: 2})
+	for _, s := range sits {
+		m.Pool().Quarantine(s.ID(), "test: storm")
+	}
+	m.SyncQuarantine()
+	if c := m.CountersSnapshot(); c.Stale != len(sits) {
+		t.Fatalf("%d of %d quarantined statistics stale before Start", c.Stale, len(sits))
+	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	waitFor(t, "every quarantined statistic to be rebuilt", func() bool {
+		c := m.CountersSnapshot()
+		return c.Stale == 0 && c.Rebuilding == 0
+	})
+	h := m.Health()
+	if _, quarantined, _ := m.Pool().HealthCounts(); h.Swaps != int64(len(sits)) || h.Healthy != len(sits) || quarantined != 0 {
+		t.Fatalf("after the storm: %d swaps, %d healthy, %d quarantined; want %d, %d, 0",
+			h.Swaps, h.Healthy, quarantined, len(sits), len(sits))
 	}
 }
 
@@ -379,8 +417,8 @@ func TestStopCheckpointsAndRestarts(t *testing.T) {
 
 // TestStopReturnsWithQueuedRebuild: Stop returns promptly after a rebuild
 // was queued, so every worker loop observes cancellation. A worker that
-// drains the queue without a ctx.Done() arm (`for id := range m.queue`)
-// waits forever on a channel nobody closes, and Stop hangs in its wait.
+// waits for work without a ctx.Done() arm waits forever once the queue is
+// empty, and Stop hangs in its wait.
 func TestStopReturnsWithQueuedRebuild(t *testing.T) {
 	db, _, pool := snapEnv(t)
 	m := New(db.Cat, pool, Config{Workers: 2})
@@ -401,6 +439,54 @@ func TestStopReturnsWithQueuedRebuild(t *testing.T) {
 		}
 	case <-time.After(bound):
 		t.Fatalf("Stop did not return within %v: a worker ignores cancellation", bound)
+	}
+}
+
+// TestStopMidBackoffRequeues: a worker stopped while it waits out a
+// backoff puts its statistic back in the queue, so the next Start rebuilds
+// it. Neither feedback nor a quarantine sync queues a stale statistic, so
+// one left out of the queue would stay stale for good.
+func TestStopMidBackoffRequeues(t *testing.T) {
+	db, _, pool := snapEnv(t)
+	var attempts atomic.Int32
+	rebuild := func(attr engine.AttrID, expr []engine.Pred) (*sit.SIT, error) {
+		if attempts.Add(1) == 1 {
+			return nil, errors.New("test: the first attempt fails")
+		}
+		return sit.NewBuilder(db.Cat).Build(attr, expr), nil
+	}
+	backingOff := make(chan struct{}, 1)
+	sleep := func(ctx context.Context, d time.Duration) error {
+		backingOff <- struct{}{}
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	m := New(db.Cat, pool, Config{Workers: 1, Rebuild: rebuild, Sleep: sleep})
+	id := m.Pool().SITs()[0].ID()
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !m.MarkStale(id, "test: force a rebuild") {
+		t.Fatalf("MarkStale(%q) = false", id)
+	}
+	select {
+	case <-backingOff:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the failed rebuild never backed off")
+	}
+	if err := m.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := record(m, id); rec.State != StateStale {
+		t.Fatalf("stopped mid-backoff: %+v, want stale", rec)
+	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	settled(t, m, 1)
+	if rec := record(m, id); rec.State != StateStructural || attempts.Load() != 2 {
+		t.Fatalf("after restart: %+v after %d attempts, want structural after 2", rec, attempts.Load())
 	}
 }
 

@@ -16,6 +16,13 @@
 // is unique across pools, so entries built against other pools or older pool
 // contents simply never match.
 //
+// Nothing purges a retired generation. Once the runs in flight at the swap
+// finish, nothing reads its entries again, so they are each shard's least
+// recently used entries and its next victims: every lookup of a live
+// generation hits or misses exactly as it would in a cache that had dropped
+// them (TestRetiredEntriesLRUEquivalence), and the capacity bounds them as
+// it bounds live entries.
+//
 // # Concurrency
 //
 // Each shard is updated in place under a sync.RWMutex. It keeps its entries
@@ -24,10 +31,9 @@
 // copies the value out; concurrent readers of one shard never exclude each
 // other. Put takes the write lock and stores into an existing slot, a fresh
 // one, or — when the shard is full — the least recently used entry's slot,
-// so a Put in steady state neither copies the shard nor allocates. EvictIf
-// compacts the slot array in place. Slot arrays grow lazily, doubling up to
-// the shard's capacity, so a large cache that is never filled reserves
-// little memory.
+// so a Put in steady state neither copies the shard nor allocates. Slot
+// arrays grow lazily, doubling up to the shard's capacity, so a large cache
+// that is never filled reserves little memory.
 //
 // The trade is deliberate: a hit pays for a shared lock, which a
 // copy-on-write map would spare it, and in exchange a Put neither copies
@@ -89,8 +95,7 @@ type shard[K comparable, V any] struct {
 
 // slot is one cached entry. key and val change only under the shard's
 // write lock; tick is also stamped by readers holding the read lock, hence
-// atomic. Slots are never copied whole (the atomic forbids it): moves copy
-// key and val and carry the tick over through Load and Store.
+// atomic.
 type slot[K comparable, V any] struct {
 	key  K
 	val  V
@@ -262,32 +267,6 @@ func (s *shard[K, V]) victim() int {
 	return v
 }
 
-// compact drops every entry whose key satisfies drop, moving survivors down
-// with their ticks so recency order is unchanged, and zeroes the vacated
-// tail so it pins no values. It returns how many entries were dropped. The
-// caller holds the write lock.
-func (s *shard[K, V]) compact(drop func(key K) bool) int {
-	w := 0
-	for r := range s.slots {
-		e := &s.slots[r]
-		if drop(e.key) {
-			delete(s.index, e.key)
-			continue
-		}
-		if w != r {
-			d := &s.slots[w]
-			d.key, d.val = e.key, e.val
-			d.tick.Store(e.tick.Load())
-			s.index[d.key] = int32(w)
-		}
-		w++
-	}
-	n := len(s.slots) - w
-	clear(s.slots[w:])
-	s.slots = s.slots[:w]
-	return n
-}
-
 // Len returns the current number of cached entries across all shards.
 func (c *Cache[K, V]) Len() int {
 	n := 0
@@ -332,27 +311,6 @@ func (c *Cache[K, V]) Stats() Stats {
 		st.Capacity += c.shards[i].cap
 	}
 	return st
-}
-
-// EvictIf drops every entry whose key satisfies drop, counting them as
-// evictions, and returns how many were dropped. The statistics lifecycle
-// manager uses it after an epoch hot-swap to reclaim the capacity held by
-// dead-generation entries (their generation-stamped keys can never be
-// requested again, but untouched they would linger until LRU churn pushes
-// them out). Each shard is compacted in place under its write lock — drop
-// is called exactly once per resident key — and the survivors keep their
-// recency ticks, so later evictions still pick the true LRU entry.
-func (c *Cache[K, V]) EvictIf(drop func(key K) bool) int {
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n := s.compact(drop)
-		s.mu.Unlock()
-		c.evictions.Add(int64(n))
-		dropped += n
-	}
-	return dropped
 }
 
 // EvictAll drops every entry while counting them as evictions; unlike Reset

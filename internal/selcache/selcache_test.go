@@ -3,7 +3,6 @@ package selcache
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,100 +167,6 @@ func TestConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestEvictIf: predicate-driven eviction removes exactly the matching
-// entries across shards, reports the count, and leaves the rest servable.
-func TestEvictIf(t *testing.T) {
-	t.Parallel()
-	c := New[string, int](256, HashString)
-	for i := 0; i < 40; i++ {
-		gen := "g1"
-		if i%2 == 0 {
-			gen = "g2"
-		}
-		c.Put(fmt.Sprintf("model|%s|k%d", gen, i), i)
-	}
-	n := c.EvictIf(func(key string) bool { return strings.Contains(key, "|g1|") })
-	if n != 20 {
-		t.Fatalf("EvictIf dropped %d entries, want 20", n)
-	}
-	if c.Len() != 20 {
-		t.Fatalf("Len = %d after eviction, want 20", c.Len())
-	}
-	for i := 0; i < 40; i++ {
-		_, ok := c.Get(fmt.Sprintf("model|g1|k%d", i))
-		if i%2 != 0 && ok {
-			t.Fatalf("g1 entry k%d survived EvictIf", i)
-		}
-	}
-	for i := 0; i < 40; i += 2 {
-		if v, ok := c.Get(fmt.Sprintf("model|g2|k%d", i)); !ok || v != i {
-			t.Fatalf("g2 entry k%d lost by EvictIf: %v %v", i, v, ok)
-		}
-	}
-	// Nothing matches: no-op, zero count.
-	if n := c.EvictIf(func(string) bool { return false }); n != 0 {
-		t.Fatalf("no-match EvictIf dropped %d entries", n)
-	}
-}
-
-// TestEvictIfConcurrent: EvictIf racing Put/Get neither corrupts the cache
-// nor loses unrelated entries (run under -race).
-func TestEvictIfConcurrent(t *testing.T) {
-	t.Parallel()
-	c := New[string, int](512, HashString)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("w|g%d|k%d", g%2, i)
-				switch i % 3 {
-				case 0:
-					c.Put(key, i)
-				case 1:
-					c.Get(key)
-				default:
-					c.EvictIf(func(k string) bool { return strings.Contains(k, "|g0|") })
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if st := c.Stats(); st.Entries > st.Capacity {
-		t.Fatalf("entries %d exceed capacity %d after concurrent EvictIf", st.Entries, st.Capacity)
-	}
-}
-
-// TestEvictIfKeepsRecency: compacting a shard moves survivors to new slots
-// but keeps their recency, so the next eviction still takes the least
-// recently used survivor rather than whichever slot moved.
-func TestEvictIfKeepsRecency(t *testing.T) {
-	t.Parallel()
-	c := NewSharded[string, int](4, 1, HashString)
-	for i, k := range []string{"a", "b", "c", "d"} {
-		c.Put(k, i)
-	}
-	c.Get("a")
-	c.Get("c") // recency, oldest first: b, d, a, c
-	if n := c.EvictIf(func(k string) bool { return k == "b" }); n != 1 {
-		t.Fatalf("EvictIf dropped %d entries, want 1", n)
-	}
-	c.Put("e", 4) // fills the freed slot, no eviction
-	c.Put("f", 5) // evicts d, the least recently used survivor
-	if _, ok := c.Get("d"); ok {
-		t.Fatalf("d, the least recently used survivor, was not evicted")
-	}
-	for _, k := range []string{"a", "c", "e", "f"} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("%s was evicted ahead of the least recently used survivor", k)
-		}
-	}
-	if ev := c.Stats().Evictions; ev != 2 {
-		t.Fatalf("evictions = %d, want 2", ev)
-	}
-}
-
 // TestSlotsGrowLazily: a shard's slot array starts empty and doubles, from
 // minSlots, up to exactly the shard's capacity — a large cache that is never
 // filled does not reserve its full capacity.
@@ -351,32 +256,30 @@ func genKeyHash(k genKey) uint64 {
 }
 
 // TestGenerationRetirementStress interleaves 16 readers with lifecycle-
-// style generation bumps: a writer advances the current generation and
-// EvictIf-retires all older ones, while readers Get/Put entries of whatever
-// generation is current. Values encode their key's generation, so any
+// style generation bumps: every 256th operation advances the current
+// generation, and readers Get/Put entries of whatever generation is
+// current. Nothing purges the retired generations; their entries age out
+// through the LRU. Values encode their key's generation, so any
 // cross-generation aliasing — a stale-generation value served for a newer
-// key — is detected immediately; and after the final retirement sweep no
-// dead-generation entry may remain resident. Run under -race this is also
-// the proof that in-place compaction never races a read.
+// key — is detected immediately. Run under -race this is also the proof
+// that in-place eviction never races a read.
 func TestGenerationRetirementStress(t *testing.T) {
 	t.Parallel()
-	c := New[genKey, uint64](1<<10, genKeyHash)
+	const capacity = 1 << 10
+	c := New[genKey, uint64](capacity, genKeyHash)
 	value := func(k genKey) uint64 { return k.gen*1_000_000 + uint64(k.k) }
 
-	var cur atomic.Uint64
+	var cur, ops atomic.Uint64
 	cur.Store(1)
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := 0; i < 4000; i++ {
+				if ops.Add(1)%256 == 0 {
+					cur.Add(1)
 				}
 				k := genKey{gen: cur.Load(), k: rng.Intn(64)}
 				if v, ok := c.Get(k); ok {
@@ -390,29 +293,64 @@ func TestGenerationRetirementStress(t *testing.T) {
 			}
 		}(g)
 	}
-	for bump := 0; bump < 200; bump++ {
-		next := cur.Add(1)
-		// Retire everything older than the new generation, exactly as the
-		// lifecycle manager does after an epoch hot-swap. Readers may race
-		// in a Put of a just-retired generation; the next sweep gets it.
-		c.EvictIf(func(k genKey) bool { return k.gen < next })
-	}
-	close(stop)
 	wg.Wait()
-	final := cur.Load()
-	if n := c.EvictIf(func(k genKey) bool { return k.gen < final }); n > 16 {
-		// At most one straggler Put per reader goroutine can slip in after
-		// the last in-loop sweep.
-		t.Fatalf("%d dead-generation entries survived the retirement sweeps", n)
+	st := c.Stats()
+	if st.Hits == 0 || st.Evictions == 0 || st.Entries > capacity {
+		t.Fatalf("after %d generations: %+v, want hits, evictions and at most %d entries", cur.Load(), st, capacity)
 	}
-	residual := 0
-	c.EvictIf(func(k genKey) bool {
-		if k.gen < final {
-			residual++
+}
+
+// TestRetiredEntriesLRUEquivalence pins why nothing purges a retired
+// generation: in an exact per-shard LRU, entries that nothing touches
+// after a generation bump are each shard's first victims, so every
+// lookup of the live generation hits or misses exactly as in a cache that
+// never held them. Two caches take the same stream of random live
+// Get-or-Put steps; one starts full of retired-generation entries, the
+// other empty. Their outcomes must agree step by step; only Len and where
+// Evictions counts the retired entries differ.
+func TestRetiredEntriesLRUEquivalence(t *testing.T) {
+	t.Parallel()
+	const (
+		capacity = 1 << 10
+		retired  = 4 * capacity
+		keys     = 3 * capacity
+		steps    = 200_000
+	)
+	value := func(k genKey) uint64 { return k.gen*1_000_000 + uint64(k.k) }
+	dirty := New[genKey, uint64](capacity, genKeyHash)
+	clean := New[genKey, uint64](capacity, genKeyHash)
+	for k := 0; k < retired; k++ {
+		key := genKey{gen: 1, k: k}
+		dirty.Put(key, value(key))
+	}
+	if n := dirty.Len(); n != capacity {
+		t.Fatalf("pre-filled cache holds %d retired entries, want %d", n, capacity)
+	}
+	prefill := dirty.Stats().Evictions
+
+	rng := rand.New(rand.NewSource(7))
+	hits := 0
+	for i := 0; i < steps; i++ {
+		key := genKey{gen: 2, k: rng.Intn(keys)}
+		vd, okd := dirty.Get(key)
+		vc, okc := clean.Get(key)
+		if okd != okc || vd != vc {
+			t.Fatalf("step %d: Get(%+v) = (%d, %v) beside retired entries, (%d, %v) without", i, key, vd, okd, vc, okc)
 		}
-		return false
-	})
-	if residual != 0 {
-		t.Fatalf("%d dead-generation entries resident after quiescent sweep", residual)
+		if okd {
+			hits++
+			continue
+		}
+		dirty.Put(key, value(key))
+		clean.Put(key, value(key))
+	}
+	sd, sc := dirty.Stats(), clean.Stats()
+	if sd.Hits != sc.Hits || sd.Misses != sc.Misses || hits == 0 || hits == steps {
+		t.Fatalf("beside retired entries %+v, without %+v (%d hits)", sd, sc, hits)
+	}
+	// The stream filled the cache, so every retired entry was evicted, each
+	// one counted once.
+	if sd.Entries != capacity || sc.Entries != capacity || sd.Evictions-prefill != sc.Evictions+capacity {
+		t.Fatalf("beside retired entries %+v (%d evicted while pre-filling), without %+v", sd, prefill, sc)
 	}
 }

@@ -96,8 +96,6 @@ type Config struct {
 
 	// SLO configures the tail-latency controller (zero value: 500ms target).
 	SLO SLOConfig
-	// Clock drives the SLO controller's hysteresis (default: real time).
-	Clock Clock
 
 	// DrainDeadline bounds how long Shutdown waits for in-flight requests
 	// (default 10s).
@@ -150,9 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.SLO.TargetP99 == 0 {
 		c.SLO.TargetP99 = 500 * time.Millisecond
 	}
-	if c.Clock == nil {
-		c.Clock = realClock{}
-	}
 	if c.DrainDeadline <= 0 {
 		c.DrainDeadline = 10 * time.Second
 	}
@@ -188,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		limiter: NewLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
-		slo:     NewSLOController(cfg.SLO, cfg.Clock),
+		slo:     NewSLOController(cfg.SLO, nil),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/estimate", s.handleEstimate)

@@ -13,8 +13,9 @@ import (
 // ("epoch") that shares every untouched statistic and carries a fresh
 // generation. In-flight runs finish against the old epoch; new runs pick up
 // the new one; generation-keyed caches (internal/selcache) can never mix the
-// two because no two pools ever share a generation stamp. A rebuild the pool
-// already serves (Serves) is not published at all.
+// two because no two pools ever share a generation stamp, and the old
+// epoch's entries, which no new run asks for, age out of their LRU. A
+// rebuild the pool already serves (Serves) is not published at all.
 
 // Lookup returns the pool's SIT with the given canonical ID, quarantined or
 // not, or nil when the ID is unknown. Lifecycle rebuilds use it to recover

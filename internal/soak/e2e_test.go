@@ -17,9 +17,8 @@ import (
 // TestE2ESelfHealingArc asserts every link of the self-healing chain
 // explicitly, on a grown multi-cluster schema, under the race detector (CI
 // runs this suite with -race): injected skew drift → lifecycle drift
-// detection and rebuild → pool generation bump → eviction of the retired
-// generation's selcache entries → bit-identical estimates after the
-// hot-swap.
+// detection and rebuild → pool generation bump → no selcache entry of the
+// retired generation served → bit-identical estimates after the hot-swap.
 func TestE2ESelfHealingArc(t *testing.T) {
 	grown := datagen.GenerateGrown(datagen.GrownConfig{
 		Config: datagen.Config{Seed: 5, FactRows: 1200},
@@ -55,14 +54,13 @@ func TestE2ESelfHealingArc(t *testing.T) {
 	// Warm the cross-query cache under the initial generation.
 	gen0 := mgr.Generation()
 	estimateAll(mgr.Estimator(), hot)
-	if n := countGen(cache, gen0); n == 0 {
-		t.Fatalf("warmup left no generation-%d cache entries (cache len %d)", gen0, cache.Len())
+	if cache.Len() == 0 {
+		t.Fatalf("warmup left no generation-%d cache entries", gen0)
 	}
 
 	// Link 1: inject skew drift — invert the Zipf popularity of every
 	// measure and foreign key, so the pre-drift SITs are maximally wrong.
 	grown.Reskew(99, 3.0, true)
-	core.ResetHistJoinCache()
 	truth := engine.NewEvaluator(db.Cat)
 
 	// Link 2: a feedback burst over the hot set drives the q-error EWMAs
@@ -105,12 +103,24 @@ func TestE2ESelfHealingArc(t *testing.T) {
 		t.Fatalf("pool generation did not bump (still %d)", gen0)
 	}
 
-	// Link 4: the retired generation's cache entries were evicted eagerly.
-	if ev := cache.Stats().Evictions; ev == 0 {
-		t.Fatal("hot-swap evicted nothing from the cross-query cache")
+	// Link 4: the retired generation's entries stay in the cache until the
+	// LRU evicts them, but the new generation's keys never find them: the
+	// manager's first pass misses each query's full set (a hit there would
+	// end the query's lookups without a miss), and its second pass is served
+	// from the repopulated cache alone.
+	est := mgr.Estimator()
+	warm := make([]float64, len(hot))
+	for i, q := range hot {
+		misses := cache.Stats().Misses
+		warm[i] = est.NewRun(q).GetSelectivity(q.All()).Sel
+		if cache.Stats().Misses == misses {
+			t.Fatalf("query %d: the first pass after the hot-swap hit its full set", i)
+		}
 	}
-	if n := countGen(cache, gen0); n != 0 {
-		t.Fatalf("%d generation-%d cache entries survived the hot-swap", n, gen0)
+	st := cache.Stats()
+	cached := estimateAll(est, hot)
+	if got := cache.Stats(); got.Misses != st.Misses || got.Hits != st.Hits+int64(len(hot)) {
+		t.Fatalf("second pass moved the cache from %+v to %+v, want %d hits and no miss", st, got, len(hot))
 	}
 
 	// Link 5: post-swap estimates are bit-identical between the
@@ -118,25 +128,10 @@ func TestE2ESelfHealingArc(t *testing.T) {
 	// served from the repopulated cache) and a cache-free estimator over the
 	// published pool.
 	ref := estimateAll(core.NewEstimator(db.Cat, mgr.Pool(), core.Diff{}), hot)
-	warm := estimateAll(mgr.Estimator(), hot)
-	cached := estimateAll(mgr.Estimator(), hot)
 	for i := range ref {
 		if warm[i] != ref[i] || cached[i] != ref[i] {
 			t.Fatalf("query %d not bit-identical after hot-swap: ref=%v warm=%v cached=%v",
 				i, ref[i], warm[i], cached[i])
 		}
 	}
-}
-
-// countGen counts resident cache entries of the given pool generation
-// without evicting anything.
-func countGen(c *core.SelCacheStore, gen uint64) int {
-	n := 0
-	c.EvictIf(func(k core.CacheKey) bool {
-		if k.Gen == gen {
-			n++
-		}
-		return false
-	})
-	return n
 }

@@ -411,12 +411,14 @@ func (h *Harness) estimationPhase(ctx context.Context, cycle int, phase string, 
 // set — estimates pinned to the pre-drift epoch, truths from a fresh
 // evaluator — drives the q-error EWMAs over the drift threshold, the rebuild
 // workers heal the marked statistics, and each publication hot-swaps a new
-// epoch and purges the retired generation's cache entries (a marked
-// statistic the reskew did not change rebuilds to the same content and
-// publishes nothing). One rebuild attempt per cycle is made to fail
-// (faults.RebuildFail) to exercise the retry/backoff path. The phase ends
-// with a bit-identity check: the manager-fronted estimates must equal a
-// cache-free estimator over the published pool.
+// epoch whose generation orphans the retired one's cache entries, which the
+// LRU then ages out (a marked statistic the reskew did not change rebuilds
+// to the same content and publishes nothing). The histogram-join cache needs
+// no reset after the reskew: pool histograms never change in place, and
+// rebuilt ones come with new generations. One rebuild attempt per cycle is
+// made to fail (faults.RebuildFail) to exercise the retry/backoff path. The
+// phase ends with a bit-identity check: the manager-fronted estimates must
+// equal a cache-free estimator over the published pool.
 //
 // The feedback burst runs with the shard's rebuild workers stopped. With
 // workers live, an early rebuild hot-swaps the epoch mid-burst and the
@@ -434,7 +436,6 @@ func (h *Harness) driftPhase(ctx context.Context, cycle int) error {
 
 	invert := cycle%2 == 0
 	h.grown.Reskew(h.cfg.Seed+int64(cycle)*7919, 3.0, invert)
-	core.ResetHistJoinCache()
 	for _, sh := range h.shards {
 		sh.ev = engine.NewEvaluator(sh.db.Cat)
 		sh.gen.Refresh()

@@ -75,8 +75,9 @@ func (o *LifecycleOptions) internal(cache *SelCache) lifecycle.Config {
 // estimates finish against the old one; a rebuild that reproduces the
 // statistic publishes nothing), and — when a snapshot directory is
 // configured — checkpoints the whole state crash-safely. Its epochs share a
-// bounded cross-query cache, purged of each generation a swap retires. See
-// DESIGN.md "Statistics lifecycle".
+// bounded cross-query cache; a swap's new generation never reads the retired
+// one's entries, which the cache's LRU ages out. See DESIGN.md "Statistics
+// lifecycle".
 type Manager struct {
 	db    *DB
 	m     *lifecycle.Manager
@@ -126,7 +127,8 @@ func (m *Manager) Pool() *Pool {
 // Estimator returns an estimator over the published epoch. Like Pool, the
 // value is pinned to the current epoch; an optimizer that wants every query
 // to see the freshest statistics calls Estimator per query (the cost is one
-// atomic load). Its Cache is the manager's cross-query cache.
+// atomic load). Its Cache is the manager's cross-query cache; UseCache on
+// the returned value swaps the cache of that value alone.
 func (m *Manager) Estimator() *Estimator {
 	return &Estimator{db: m.db, est: m.m.Estimator(), cache: m.cache}
 }

@@ -60,6 +60,49 @@ func TestLifecycleObserveHitsManagerCache(t *testing.T) {
 	}
 }
 
+// TestLifecycleUseCacheIsPrivate: UseCache on one manager-fronted estimator
+// changes that estimator's cache alone. Estimates through a fresh
+// Manager.Estimator fill the cache its Cache reports, the manager's, and
+// leave the attached cache empty; estimates through the estimator the cache
+// was attached to fill only the attached cache.
+func TestLifecycleUseCacheIsPrivate(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	db, queries, pool := lifecycleWorld(t)
+	m := db.NewLifecycle(pool, nil)
+	other := condsel.NewSelCache(1 << 10)
+	mine := m.Estimator().UseCache(other)
+	if mine.Cache() != other {
+		t.Fatal("UseCache did not attach the cache")
+	}
+
+	fresh := m.Estimator()
+	shared := fresh.Cache()
+	if shared == nil || shared == other {
+		t.Fatalf("a fresh manager estimator reports cache %p, want the manager's, not the attached %p", shared, other)
+	}
+	for _, q := range queries {
+		fresh.Estimate(ctx, q)
+	}
+	if n := other.Stats().Entries; n != 0 {
+		t.Fatalf("a fresh manager estimator put %d entries into the cache attached to another", n)
+	}
+	filled := shared.Stats().Entries
+	if filled == 0 {
+		t.Fatal("a fresh manager estimator put nothing into the cache it reports")
+	}
+
+	for _, q := range queries {
+		mine.Estimate(ctx, q)
+	}
+	if other.Stats().Entries == 0 {
+		t.Fatal("the estimator the cache was attached to put nothing into it")
+	}
+	if n := shared.Stats().Entries; n != filled {
+		t.Fatalf("estimates through the attached cache changed the manager's cache from %d to %d entries", filled, n)
+	}
+}
+
 // TestLifecycleHealsDriftedStatistic drives the full public loop over data
 // the public API cannot change: feedback with large errors marks the
 // statistics the estimate read stale, the workers rebuild them, every
